@@ -5,48 +5,32 @@ dataframe; non-prime-power orders in the grid are skipped with a note on
 stderr."""
 
 import argparse
-import csv
 import sys
-from dataclasses import dataclass, field
 
-from qsearch.bounds import BOUNDS_CSV_COLUMNS, bounds_report
+from qsearch.bounds import bounds_report, write_bounds_csv
 from qsearch.gf import is_prime_power
 
 
-@dataclass
-class Grid:
-    ns: list = field(default_factory=lambda: [3, 4, 5])
-    qs: list = field(default_factory=lambda: [2, 3, 4, 5, 7, 8, 9])
-
-    def cells(self):
-        for n in self.ns:
-            for q in self.qs:
-                yield n, q
+def reports(ns, qs):
+    for n in ns:
+        for q in qs:
+            if n < 2:
+                print(f"skipping n={n}: need n >= 2", file=sys.stderr)
+                continue
+            if not is_prime_power(q):
+                print(f"skipping q={q}: not a prime power", file=sys.stderr)
+                continue
+            yield bounds_report(n, q)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, nargs="+", help="ambient dimensions")
-    ap.add_argument("--q", type=int, nargs="+", help="field orders")
+    ap.add_argument("--n", type=int, nargs="+", default=[3, 4, 5], help="ambient dimensions")
+    ap.add_argument(
+        "--q", type=int, nargs="+", default=[2, 3, 4, 5, 7, 8, 9], help="field orders"
+    )
     args = ap.parse_args()
-    grid = Grid()
-    if args.n:
-        grid.ns = args.n
-    if args.q:
-        grid.qs = args.q
-
-    w = csv.writer(sys.stdout)
-    w.writerow(BOUNDS_CSV_COLUMNS)
-    for n, q in grid.cells():
-        if n < 2:
-            print(f"skipping n={n}: need n >= 2", file=sys.stderr)
-            continue
-        if not is_prime_power(q):
-            print(f"skipping q={q}: not a prime power", file=sys.stderr)
-            continue
-        for row in bounds_report(n, q).rows():
-            rn, rq, name, tag, value, exact = row
-            w.writerow([rn, rq, name, tag, value, "" if exact is None else str(exact)])
+    write_bounds_csv(sys.stdout, reports(args.n, args.q))
     return 0
 
 

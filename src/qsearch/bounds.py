@@ -7,6 +7,7 @@ exists, so comparisons never hinge on silent rounding.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,11 +24,6 @@ class TaggedValue:
     value: float
     tag: str
     exact: Fraction | None = None
-
-    def ceil(self) -> int:
-        if self.exact is not None:
-            return math.ceil(self.exact)
-        return math.ceil(self.value)
 
 
 def _exact(value, tag: str) -> TaggedValue:
@@ -78,10 +74,6 @@ class NonadaptiveBounds:
     katona: KatonaBound
     upper_explicit: int
     upper_random: int
-
-    @property
-    def headline_upper(self) -> int:
-        return min(self.upper_explicit, self.upper_random)
 
 
 def nonadaptive_bounds(n: int, q: int) -> NonadaptiveBounds:
@@ -213,6 +205,16 @@ class BoundsReport:
 
 
 BOUNDS_CSV_COLUMNS = ("n", "q", "name", "tag", "value", "exact")
+
+
+def write_bounds_csv(stream, reports) -> None:
+    """The header, then every row of each report; `exact` is a rational
+    string, or empty when the bound has no exact value."""
+    w = csv.writer(stream)
+    w.writerow(BOUNDS_CSV_COLUMNS)
+    for rep in reports:
+        for n, q, name, tag, value, exact in rep.rows():
+            w.writerow([n, q, name, tag, value, "" if exact is None else str(exact)])
 
 
 def bounds_report(n: int, q: int) -> BoundsReport:

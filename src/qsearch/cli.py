@@ -13,13 +13,12 @@ passed, 1 a check failed, 2 bad usage or invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
 from pathlib import Path
 
-from .bounds import BOUNDS_CSV_COLUMNS, bounds_report
+from .bounds import adaptive_bounds, bounds_report, nonadaptive_bounds, write_bounds_csv
 from .game import (
     FixedOracle,
     Transcript,
@@ -53,7 +52,7 @@ def _save_transcript(path: str | None, t: Transcript) -> None:
 
 def _cmd_adaptive(args) -> int:
     n, q = args.n, args.q
-    bound = (q - 1) * (n - 1) + 1
+    bound = adaptive_bounds(n, q)[1]
     report = {
         "command": "adaptive",
         "n": n,
@@ -103,17 +102,18 @@ def _cmd_adaptive(args) -> int:
 
 def _cmd_construct(args) -> int:
     n, q = args.n, args.q
+    bounds = nonadaptive_bounds(n, q)
     if args.method == "explicit":
         qs = explicit_construction(n, q)
         seed = None
         attempts = None
-        bound = n + (n * (n - 1) // 2) * (q - 2)
+        bound = bounds.upper_explicit
     else:
         if args.seed is None:
             raise ValueError("--method random needs --seed")
         qs, attempts = random_construction_trace(n, q, args.seed)
         seed = args.seed
-        bound = 2 * n * q
+        bound = bounds.upper_random
     separating = separating_witness(qs) is None
     if args.out:
         qs.save(args.out)
@@ -156,11 +156,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     rep = bounds_report(args.n, args.q)
     if args.csv:
-        w = csv.writer(sys.stdout)
-        w.writerow(BOUNDS_CSV_COLUMNS)
-        for row in rep.rows():
-            n, q, name, tag, value, exact = row
-            w.writerow([n, q, name, tag, value, "" if exact is None else str(exact)])
+        write_bounds_csv(sys.stdout, [rep])
     else:
         _emit({"command": "bounds", **rep.to_dict()})
     return 0

@@ -18,16 +18,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf import field
 from .projspace import (
     DimensionMismatch,
     Geometry,
     Subspace,
     WrongDimension,
+    basis_extension,
     gaussian_binomial,
     geometry,
-    hyperplanes_through,
     normalize,
+    pencil_within,
 )
 from .separating import coordinate_hyperplane, ratio_hyperplane
 
@@ -88,9 +88,28 @@ class Transcript:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
+    _KEYS = {
+        "n": int,
+        "q": int,
+        "searcher": str,
+        "oracle": str,
+        "entries": list,
+        "outcome": dict,
+        "count": int,
+    }
+
     @staticmethod
     def from_json(text: str) -> "Transcript":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("transcript must be a JSON object")
+        for key, kind in Transcript._KEYS.items():
+            if key not in d:
+                raise ValueError(f"transcript is missing key {key!r}")
+            if not isinstance(d[key], kind):
+                raise ValueError(f"transcript key {key!r} must be a {kind.__name__}")
+        if d["n"] < 2:
+            raise ValueError(f"transcript has n={d['n']}, need n >= 2")
         return Transcript(
             n=d["n"],
             q=d["q"],
@@ -140,12 +159,7 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
             outcome = {"aborted": "query-limit"}
             break
         ans = oracle.answer(qry, tuple(history))
-        m = geom.mask(qry)
-        cand = (cand & m) if ans.yes else (cand & ~m)
-        if ans.volunteered is not None:
-            vkind, vline = ans.volunteered
-            vm = geom.mask(vline)
-            cand = (cand & vm) if vkind == "in-line" else (cand & ~vm)
+        cand = _narrow(geom, cand, qry, ans)
         if cand == 0:
             raise InconsistentOracle(f"no point is consistent after {qry.literal()}")
         history.append((qry, ans))
@@ -167,8 +181,16 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
     )
 
 
-def _lone_point(geom: Geometry, mask: int) -> tuple[int, ...]:
-    return geom.points[(mask & -mask).bit_length() - 1]
+def _narrow(geom: Geometry, cand: int, query: Subspace, ans: Answer) -> int:
+    """The candidates that stay consistent with one answer to a query,
+    including the line constraint the answer may volunteer."""
+    m = geom.mask(query)
+    cand = (cand & m) if ans.yes else (cand & ~m)
+    if ans.volunteered is not None:
+        vkind, vline = ans.volunteered
+        vm = geom.mask(vline)
+        cand = (cand & vm) if vkind == "in-line" else (cand & ~vm)
+    return cand
 
 
 # ---------------------------------------------------------------------------
@@ -187,38 +209,18 @@ class PlaneSearcher:
 
     def decide(self, view: GameView):
         if view.candidates.bit_count() == 1:
-            return ("announce", _lone_point(view.geom, view.candidates))
+            return ("announce", view.geom.lowest_point(view.candidates))
         x = view.geom.points[0]
         pencil = view.geom.pencil(Subspace.span(self.q, 3, [x]))
         got_yes = any(a.yes for _, a in view.history)
         if not got_yes and len(view.history) < self.q:
             return ("ask", pencil[len(view.history)])
-        probe = _lone_point(view.geom, view.candidates)
+        probe = view.geom.lowest_point(view.candidates)
         return ("ask", Subspace.span(self.q, 3, [probe]))
 
 
-@lru_cache(maxsize=None)
-def _pencil_within(ctx: Subspace, u: Subspace) -> tuple[Subspace, ...]:
-    """The q+1 subspaces of ctx that sit one dimension below it and contain
-    u, computed in coordinates local to ctx and mapped back."""
-    q, k = ctx.q, ctx.k
-    F = field(q)
-    pivots = ctx.pivots()
-    local_u = Subspace.span(q, k, [tuple(r[p] for p in pivots) for r in u.basis])
-
-    def back(local_rows):
-        rows = []
-        for lrow in local_rows:
-            vec = [0] * ctx.n
-            for c, brow in zip(lrow, ctx.basis):
-                if c:
-                    vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, brow)]
-            rows.append(tuple(vec))
-        return Subspace.span(q, ctx.n, rows)
-
-    out = [back(h.basis) for h in hyperplanes_through(local_u)]
-    out.sort(key=lambda s: s.basis)
-    return tuple(out)
+# Pencils of the inductive descent, shared by every searcher of a sweep.
+_pencil_within = lru_cache(maxsize=None)(pencil_within)
 
 
 class InductiveSearcher:
@@ -244,29 +246,19 @@ class InductiveSearcher:
         """Extend w by a complement of ctx, giving a hyperplane of the full
         space whose intersection with ctx is exactly w."""
         n, q = self.n, self.q
-        comp = []
-        cur = ctx
-        for i in range(n):
-            if cur.k == n:
-                break
-            e = tuple(1 if j == i else 0 for j in range(n))
-            if not cur.contains(e):
-                comp.append(e)
-                cur = Subspace.span(q, n, cur.basis + (e,))
+        comp = basis_extension(ctx, Subspace.full(q, n).basis)
         return Subspace.span(q, n, w.basis + tuple(comp))
 
     def _plan(self):
         n, q = self.n, self.q
-        ctx = Subspace.span(
-            q, n, [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        )
+        ctx = Subspace.full(q, n)
         known_not: Subspace | None = None
         while ctx.k > 1:
             base = known_not if known_not is not None else ctx
             u = Subspace(q, n, base.basis[: ctx.k - 2])
             pencil = _pencil_within(ctx, u)
             if known_not is None:
-                to_ask, fallback = list(pencil[:q]), pencil[q]
+                to_ask, fallback = pencil[:q], pencil[q]
             else:
                 others = [w for w in pencil if w != known_not]
                 to_ask, fallback = others[: q - 1], others[q - 1]
@@ -297,7 +289,7 @@ class InductiveSearcher:
 
     def decide(self, view: GameView):
         if view.candidates.bit_count() == 1:
-            return ("announce", _lone_point(view.geom, view.candidates))
+            return ("announce", view.geom.lowest_point(view.candidates))
         try:
             qry = self._advance(tuple(past.yes for _, past in view.history))
         except StopIteration:
@@ -356,7 +348,7 @@ class RandomLineSearcher:
 
     def decide(self, view: GameView):
         if view.candidates.bit_count() == 1 or len(view.history) >= len(self.order):
-            return ("announce", _lone_point(view.geom, view.candidates))
+            return ("announce", view.geom.lowest_point(view.candidates))
         return ("ask", self.order[len(view.history)])
 
 
@@ -386,25 +378,12 @@ def _completions(geom: Geometry, lines) -> list[Subspace]:
     unc = geom.full_mask & ~cov
     if unc == 0:
         return sorted(geom.subspaces(2), key=lambda s: s.basis)
+    p1 = geom.lowest_point(unc)
     if unc.bit_count() == 1:
-        p = geom.points[(unc & -unc).bit_length() - 1]
-        return list(geom.pencil(Subspace.span(geom.q, 3, [p])))
-    low = unc & -unc
-    p1 = geom.points[low.bit_length() - 1]
-    rest = unc ^ low
-    p2 = geom.points[(rest & -rest).bit_length() - 1]
+        return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
+    p2 = geom.lowest_point(unc & (unc - 1))
     ln = Subspace.span(geom.q, 3, [p1, p2])
     return [ln] if (geom.mask(ln) & unc) == unc else []
-
-
-def cover_extension_check(lines, q: int) -> Subspace | None:
-    """Lexicographically first hyperplane completing `lines` to a cover of
-    the projective plane, or None when no single hyperplane can."""
-    geom = geometry(3, q)
-    comps = _completions(geom, list(lines))
-    if not comps:
-        return None
-    return min(comps, key=lambda s: s.basis)
 
 
 class AdversaryOracle:
@@ -429,12 +408,7 @@ class AdversaryOracle:
         committed = False
         cand = geom.full_mask
         for qry, ans in history:
-            m = geom.mask(qry)
-            cand = (cand & m) if ans.yes else (cand & ~m)
-            if ans.volunteered is not None:
-                vkind, vline = ans.volunteered
-                vm = geom.mask(vline)
-                cand = (cand & vm) if vkind == "in-line" else (cand & ~vm)
+            cand = _narrow(geom, cand, qry, ans)
             if not committed:
                 if ans.yes and qry.k == 2:
                     committed = True
@@ -506,6 +480,8 @@ def oracle_from_name(name: str, n: int, q: int):
         coords = [int(c) for c in name.split(":", 1)[1].split(",")]
         if len(coords) != n:
             raise DimensionMismatch(f"point {coords} not of length {n}")
+        if any(not 0 <= c < q for c in coords):
+            raise ValueError(f"point {coords} has a coordinate outside [0, {q})")
         return FixedOracle(q, coords)
     raise ValueError(f"unknown oracle {name!r}")
 

@@ -13,6 +13,7 @@ degree first, so two constructions of GF(q) always agree element by element.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 # Largest field order constructed by default; keeps the log/antilog and
@@ -28,7 +29,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e and p prime, or raise NotAPrimePower."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise NotAPrimePower(f"field order must be an integer >= 2, got {q!r}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     e, m = 0, q
     while m % p == 0:
         m //= p
@@ -242,31 +243,6 @@ class GF:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def dot(self, u, v) -> int:
-        out = 0
-        for a, b in zip(u, v):
-            out = self.add(out, self.mul(a, b))
-        return out
-
-    # -- element views -------------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, padded to length e (polynomial coefficients)."""
-        digits = list(self._to_poly(a))
-        return tuple(digits + [0] * (self.e - len(digits)))
-
-    def from_coeffs(self, coeffs) -> int:
-        cs = list(coeffs)
-        if len(cs) != self.e or any(not 0 <= c < self.p for c in cs):
-            raise ValueError(f"need {self.e} digits below {self.p}, got {coeffs!r}")
-        return self._from_poly(tuple(cs))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

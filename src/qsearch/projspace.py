@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,13 @@ class DimensionMismatch(ValueError):
 
 class WrongDimension(ValueError):
     """Subspace has the wrong dimension for the requested operation."""
+
+
+class TooLarge(ValueError):
+    """Instance exceeds the configured enumeration caps."""
+
+
+DEFAULT_POINT_CAP = 10**6
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -131,8 +139,11 @@ class Subspace:
         return Subspace(q, n, rref(q, rows))
 
     @staticmethod
-    def zero(q: int, n: int) -> "Subspace":
-        return Subspace(q, n, ())
+    def full(q: int, n: int) -> "Subspace":
+        """The whole space, its basis rows being the unit vectors in order."""
+        return Subspace(
+            q, n, tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        )
 
     @property
     def k(self) -> int:
@@ -152,16 +163,6 @@ class Subspace:
             if c:
                 v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
         return not any(v)
-
-    def __le__(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if (self.q, self.n) != (other.q, other.n):
-            raise DimensionMismatch(
-                f"mixing GF({self.q})^{self.n} with GF({other.q})^{other.n}"
-            )
 
     def literal(self) -> str:
         """One-line text form, parseable by Subspace.parse."""
@@ -192,72 +193,42 @@ class Subspace:
         return sub
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check_compatible(b)
-    return Subspace.span(a.q, a.n, a.basis + b.basis)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: row reduce [A|A; B|0]; rows with zero left block carry the
-    intersection in their right block."""
-    a._check_compatible(b)
-    n = a.n
-    block = [row + row for row in a.basis] + [row + (0,) * n for row in b.basis]
+def basis_extension(s: Subspace, vectors) -> list[tuple[int, ...]]:
+    """The vectors, in order, that each enlarge the span of s and of the
+    vectors kept before them."""
     out = []
-    for row in rref(a.q, block):
-        if not any(row[:n]):
-            out.append(row[n:])
-    return Subspace.span(a.q, n, out)
+    for v in vectors:
+        if s.k == s.n:
+            break
+        if not s.contains(v):
+            out.append(v)
+            s = Subspace.span(s.q, s.n, s.basis + (v,))
+    return out
 
 
-def nullspace_basis(q: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Basis of the right nullspace {v : M v = 0} of the matrix with the
-    given rows."""
+def pencil_within(ctx: Subspace, u: Subspace) -> list[Subspace]:
+    """The q+1 subspaces of ctx one dimension below it that contain u, a
+    subspace of ctx of dimension ctx.k - 2, sorted by basis tuple.
+
+    With a, b extending u to ctx, they are span(u, a) and span(u, t*a + b)
+    for t in GF(q)."""
+    if u.k != ctx.k - 2:
+        raise WrongDimension(f"need dimension {ctx.k - 2}, got {u.k}")
+    q, n = ctx.q, ctx.n
     F = field(q)
-    red = rref(q, rows)
-    if not red:
-        n = len(next(iter(rows)))
-        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    n = len(red[0])
-    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = F.neg(row[fc])
-        out.append(tuple(v))
-    return tuple(out)
-
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    if s.k == 0:
-        return Subspace.span(
-            s.q, s.n, [tuple(1 if j == i else 0 for j in range(s.n)) for i in range(s.n)]
-        )
-    return Subspace.span(s.q, s.n, nullspace_basis(s.q, s.basis))
+    a, b = basis_extension(u, ctx.basis)
+    tops = [a] + [
+        tuple(F.add(F.mul(t, x), y) for x, y in zip(a, b)) for t in range(q)
+    ]
+    out = [Subspace.span(q, n, u.basis + (v,)) for v in tops]
+    out.sort(key=lambda s: s.basis)
+    return out
 
 
 def hyperplanes_through(u: Subspace) -> list[Subspace]:
     """The q+1 hyperplanes containing a subspace of dimension n-2, sorted by
     basis tuple."""
-    if u.k != u.n - 2:
-        raise WrongDimension(f"need dimension {u.n - 2}, got {u.k}")
-    F = field(u.q)
-    if u.k == 0:
-        normals = tuple(
-            tuple(1 if j == i else 0 for j in range(u.n)) for i in range(u.n)
-        )
-    else:
-        normals = nullspace_basis(u.q, u.basis)
-    a, b = normals[0], normals[1]
-    combos = [a] + [
-        tuple(F.add(F.mul(t, x), y) for x, y in zip(a, b)) for t in range(u.q)
-    ]
-    out = [Subspace.span(u.q, u.n, nullspace_basis(u.q, [c])) for c in combos]
-    out.sort(key=lambda s: s.basis)
-    return out
+    return pencil_within(Subspace.full(u.q, u.n), u)
 
 
 def enumerate_subspaces(n: int, q: int, k: int):
@@ -265,9 +236,6 @@ def enumerate_subspaces(n: int, q: int, k: int):
     order, built directly in echelon form: choose pivot columns, then fill
     the free slots."""
     if k < 0 or k > n:
-        return
-    if k == 0:
-        yield Subspace.zero(q, n)
         return
     for pivots in itertools.combinations(range(n), k):
         slots = [
@@ -346,14 +314,22 @@ class Geometry:
             self._subspace_cache[k] = got
         return got
 
-    def iter_mask(self, m: int):
-        """Points selected by a mask, in index order."""
-        while m:
-            low = m & -m
-            yield self.points[low.bit_length() - 1]
-            m ^= low
+    def lowest_point(self, m: int) -> tuple[int, ...]:
+        """The point of lowest index in a nonempty mask."""
+        return self.points[(m & -m).bit_length() - 1]
 
 
 @lru_cache(maxsize=None)
-def geometry(n: int, q: int) -> Geometry:
+def _geometry(n: int, q: int) -> Geometry:
     return Geometry(n, q)
+
+
+def geometry(n: int, q: int) -> Geometry:
+    """Shared Geometry of PG(n-1, q).  Raises TooLarge, before enumerating
+    anything, when the point count exceeds DEFAULT_POINT_CAP or the value of
+    the environment variable QSEARCH_POINT_CAP."""
+    count = gaussian_binomial(n, 1, q)
+    cap = int(os.environ.get("QSEARCH_POINT_CAP") or DEFAULT_POINT_CAP)
+    if count > cap:
+        raise TooLarge(f"{count} points exceeds the cap of {cap}")
+    return _geometry(n, q)

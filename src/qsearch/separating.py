@@ -10,19 +10,17 @@ exact minima by exhaustive search on small instances.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gf import field
 from .projspace import (
     DimensionMismatch,
     Subspace,
+    TooLarge,
     WrongDimension,
     gaussian_binomial,
     geometry,
-    nullspace_basis,
 )
 
 
@@ -38,29 +36,8 @@ class UniquenessViolation(RuntimeError):
     """More than one point shares a signature where at most one may."""
 
 
-class TooLarge(ValueError):
-    """Instance exceeds the configured exhaustive-search caps."""
-
-
 class Exhausted(RuntimeError):
     """Exhaustive search ran out of sizes without finding a system."""
-
-
-DEFAULT_POINT_CAP = 10**6
-
-
-def point_cap() -> int:
-    """Enumeration cap on the number of projective points; the environment
-    variable QSEARCH_POINT_CAP overrides the default."""
-    raw = os.environ.get("QSEARCH_POINT_CAP")
-    return int(raw) if raw else DEFAULT_POINT_CAP
-
-
-def _check_cap(n: int, q: int) -> None:
-    count = gaussian_binomial(n, 1, q)
-    cap = point_cap()
-    if count > cap:
-        raise TooLarge(f"{count} points exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +89,6 @@ class QuerySet:
 
 def signatures(qs: QuerySet) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map each projective point to its 0/1 answer vector."""
-    _check_cap(qs.n, qs.q)
     geom = geometry(qs.n, qs.q)
     masks = [geom.mask(s) for s in qs.queries]
     out = {}
@@ -135,7 +111,6 @@ def _refine(classes: list[int], m: int) -> list[int]:
 
 def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """None when separating, else the lexicographically first colliding pair."""
-    _check_cap(qs.n, qs.q)
     geom = geometry(qs.n, qs.q)
     classes = [geom.full_mask]
     for s in qs.queries:
@@ -144,11 +119,7 @@ def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] 
     if not bad:
         return None
     c = min(bad, key=lambda x: x & -x)
-    low = c & -c
-    u = geom.points[low.bit_length() - 1]
-    rest = c ^ low
-    v = geom.points[(rest & -rest).bit_length() - 1]
-    return (u, v)
+    return (geom.lowest_point(c), geom.lowest_point(c & (c - 1)))
 
 
 def is_separating(qs: QuerySet) -> bool:
@@ -162,23 +133,21 @@ def is_separating(qs: QuerySet) -> bool:
 
 def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
     """The hyperplane v_i = 0, spanned by the other standard vectors."""
-    rows = tuple(
-        tuple(1 if c == j else 0 for c in range(n)) for j in range(n) if j != i
-    )
-    return Subspace(q, n, rows)
+    units = Subspace.full(q, n).basis
+    return Subspace(q, n, units[:i] + units[i + 1 :])
 
 
 def ratio_hyperplane(q: int, n: int, i: int, j: int, lam: int) -> Subspace:
-    """The hyperplane v_j = lam * v_i for coordinates i < j."""
+    """The hyperplane v_j = lam * v_i for coordinates i < j, spanned by the
+    unit vectors e_k for k other than i, j and by e_i + lam * e_j."""
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < n, got i={i} j={j} n={n}")
     if not 1 <= lam < q:
         raise ValueError(f"ratio must be a nonzero field element, got {lam}")
-    F = field(q)
-    normal = [0] * n
-    normal[i] = lam
-    normal[j] = F.neg(1)
-    return Subspace.span(q, n, nullspace_basis(q, [tuple(normal)]))
+    units = Subspace.full(q, n).basis
+    tie = tuple(1 if c == i else lam if c == j else 0 for c in range(n))
+    rows = [e for k, e in enumerate(units) if k not in (i, j)] + [tie]
+    return Subspace.span(q, n, rows)
 
 
 def explicit_construction(n: int, q: int) -> QuerySet:
@@ -205,8 +174,6 @@ def explicit_construction(n: int, q: int) -> QuerySet:
 
 def _random_subspace(rng: random.Random, n: int, q: int, k: int) -> Subspace:
     """Uniform k-dimensional subspace by rejection on full-rank matrices."""
-    if k == 0:
-        return Subspace.zero(q, n)
     while True:
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
         s = Subspace.span(q, n, rows)
@@ -257,7 +224,6 @@ def count_unseparated_bruteforce(
     n: int, q: int, u: tuple[int, ...], v: tuple[int, ...]
 ) -> int:
     """Direct count behind unseparated_pencil_count, one pair at a time."""
-    _check_cap(n, q)
     geom = geometry(n, q)
     mu = geom.point_mask(u)
     mv = geom.point_mask(v)
@@ -356,10 +322,10 @@ def brute_force_minimum(
     the first witness in enumeration order."""
     if max_size > BRUTE_SIZE_CAP:
         raise TooLarge(f"size cap is {BRUTE_SIZE_CAP}, asked for {max_size}")
-    geom = geometry(n, q)
-    npoints = len(geom.points)
+    npoints = gaussian_binomial(n, 1, q)
     if npoints > BRUTE_POINT_CAP:
         raise TooLarge(f"{npoints} points exceeds the cap of {BRUTE_POINT_CAP}")
+    geom = geometry(n, q)
     if restrict_to_hyperplanes:
         universe = list(geom.subspaces(n - 1))
     else:

@@ -70,12 +70,11 @@ def test_nonadaptive_bounds():
     nb = nonadaptive_bounds(3, 3)
     assert nb.upper_explicit == 6
     assert nb.upper_random == 18
-    assert nb.headline_upper == 6
     nb = nonadaptive_bounds(4, 2)
     assert (nb.upper_explicit, nb.upper_random) == (4, 16)
     nb = nonadaptive_bounds(5, 7)
     assert (nb.upper_explicit, nb.upper_random) == (55, 70)
-    assert nb.katona.value <= nb.headline_upper
+    assert nb.katona.value <= min(nb.upper_explicit, nb.upper_random)
 
 
 def test_n3_specials_small_orders():

@@ -237,3 +237,41 @@ def test_usage_and_validation_errors(capsys, argv):
 def test_verify_missing_file(capsys):
     code, out, err = run(capsys, "verify", "/nonexistent/sys.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("adaptive", "--n", "14", "--q", "7", "--strategy", "inductive",
+          "--oracle", "fixed:all"), "cap of 1000000"),
+        (("adaptive", "--n", "14", "--q", "7", "--strategy", "inductive",
+          "--oracle", "fixed:" + ",".join(["1"] + ["0"] * 13)), "cap of 1000000"),
+        (("oracle", "brute-min", "--n", "18", "--q", "3"), "cap of 48"),
+        (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
+          "--oracle", "fixed:5,1,1"), "outside [0, 3)"),
+        (("adaptive", "--n", "3", "--q", "4", "--strategy", "plane",
+          "--oracle", "fixed:5,1,1"), "outside [0, 4)"),
+        (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
+          "--oracle", "fixed:-1,1,1"), "outside [0, 3)"),
+    ],
+)
+def test_oversized_or_out_of_range_input_is_one_line_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_replay_rejects_incomplete_transcript(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text('{"n": 3, "q": 3}')
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 2
+    assert err == "error: transcript is missing key 'searcher'\n"
+
+
+def test_bounds_for_a_large_prime_order(capsys):
+    code, rep = run_json(capsys, "bounds", "--n", "3", "--q", "1000000007")
+    assert code == 0
+    assert rep["adaptive_upper"]["exact"] == "2000000013"

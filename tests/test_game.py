@@ -15,7 +15,7 @@ from qsearch.game import (
     RandomLineSearcher,
     Transcript,
     TwoRoundSearcher,
-    cover_extension_check,
+    _completions,
     oracle_from_name,
     replay,
     run_game,
@@ -136,16 +136,19 @@ def test_volunteered_lines_recorded_in_transcript():
     assert t.entries[0]["volunteered"]["kind"] in ("in-line", "not-in-line")
 
 
+# _completions lists the lines that complete a set of lines to a cover of
+# the plane; the adversary oracle answers by it
+
+
 def test_cover_extension_check_empty():
-    assert cover_extension_check([], 3) is None
+    assert _completions(geometry(3, 3), []) == []
 
 
 def test_cover_extension_check_concurrent_pencil():
     geom = geometry(3, 3)
     center = Subspace.span(3, 3, [(1, 0, 0)])
     pencil = geom.pencil(center)
-    got = cover_extension_check(list(pencil[:-1]), 3)
-    assert got == pencil[-1]
+    assert _completions(geom, list(pencil[:-1])) == [pencil[-1]]
 
 
 def test_cover_extension_check_triangle():
@@ -154,7 +157,7 @@ def test_cover_extension_check_triangle():
         Subspace.span(3, 3, [(1, 0, 0), (0, 0, 1)]),
         Subspace.span(3, 3, [(1, 0, 0), (0, 1, 0)]),
     ]
-    assert cover_extension_check(tri, 3) is None
+    assert _completions(geometry(3, 3), tri) == []
 
 
 def test_transcript_json_round_trip():
@@ -204,6 +207,27 @@ def test_registry_errors():
         oracle_from_name("fixed:1,0", 3, 3)
     with pytest.raises(WrongDimension):
         oracle_from_name("adversary", 4, 2)
+    for bad in ("fixed:5,1,1", "fixed:-1,1,1", "fixed:1,3,0"):
+        with pytest.raises(ValueError, match="outside"):
+            oracle_from_name(bad, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "doc,problem",
+    [
+        ({"n": 3, "q": 3}, "'searcher'"),
+        ({"q": 3, "searcher": "plane", "oracle": "fixed:1,0,0", "entries": [],
+          "outcome": {}, "count": 0}, "'n'"),
+        ({"n": 1, "q": 3, "searcher": "plane", "oracle": "fixed:1", "entries": [],
+          "outcome": {}, "count": 0}, "n=1"),
+        ({"n": 3, "q": 3, "searcher": "plane", "oracle": "fixed:1,0,0",
+          "entries": 5, "outcome": {}, "count": 0}, "'entries'"),
+        ([3, 3], "object"),
+    ],
+)
+def test_transcript_from_json_rejects_malformed(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        Transcript.from_json(json.dumps(doc))
 
 
 def test_query_limit_aborts():

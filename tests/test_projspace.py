@@ -16,11 +16,8 @@ from qsearch.projspace import (
     geometry,
     hyperplanes_through,
     normalize,
-    nullspace_basis,
-    orthogonal_complement,
+    pencil_within,
     rref,
-    subspace_intersection,
-    subspace_sum,
 )
 
 
@@ -123,14 +120,6 @@ def test_contains():
         s.contains((1, 0))
 
 
-def test_le_partial_order():
-    line = Subspace.span(2, 3, [(1, 0, 1)])
-    plane = Subspace.span(2, 3, [(1, 0, 1), (0, 1, 0)])
-    assert line <= plane
-    assert not plane <= line
-    assert Subspace.zero(2, 3) <= line
-
-
 @given(
     q=st.sampled_from((2, 3, 4)),
     vecs=st.lists(
@@ -175,67 +164,17 @@ def test_parse_rejects_garbage():
         Subspace.parse("not a subspace at all")
 
 
-def test_sum_and_intersection_frozen():
-    a = Subspace.span(2, 3, [(1, 0, 0)])
-    b = Subspace.span(2, 3, [(0, 1, 0)])
-    assert subspace_sum(a, b).k == 2
-    assert subspace_intersection(a, b).k == 0
-    p1 = Subspace.span(3, 3, [(1, 0, 0), (0, 1, 0)])
-    p2 = Subspace.span(3, 3, [(1, 0, 0), (0, 0, 1)])
-    m = subspace_intersection(p1, p2)
-    assert m.basis == ((1, 0, 0),)
-
-
-@st.composite
-def random_subspace(draw, n=4, q=3):
-    nvecs = draw(st.integers(min_value=0, max_value=n))
-    vecs = [
-        tuple(draw(st.integers(min_value=0, max_value=q - 1)) for _ in range(n))
-        for _ in range(nvecs)
-    ]
-    return Subspace.span(q, n, vecs)
-
-
-@given(a=random_subspace(), b=random_subspace())
-def test_dimension_formula(a, b):
-    s = subspace_sum(a, b)
-    m = subspace_intersection(a, b)
-    assert a.k + b.k == s.k + m.k
-    assert m <= a and m <= b
-    assert a <= s and b <= s
-
-
-@given(a=random_subspace())
-def test_orthogonal_complement_properties(a):
-    c = orthogonal_complement(a)
-    F = field(3)
-    assert c.k == 4 - a.k
-    for u in a.basis:
-        for v in c.basis:
-            assert F.dot(u, v) == 0
-    assert orthogonal_complement(c) == a
-
-
-def test_nullspace_basis():
-    rows = ((1, 0, 2), (0, 1, 1))
-    ns = nullspace_basis(3, rows)
-    assert len(ns) == 1
-    F = field(3)
-    for r in rows:
-        assert F.dot(r, ns[0]) == 0
-
-
 def test_hyperplanes_through_point_in_plane():
     p = Subspace.span(3, 3, [(1, 2, 0)])
     pencil = hyperplanes_through(p)
     assert len(pencil) == 4  # q + 1
-    assert all(p <= h and h.k == 2 for h in pencil)
+    assert all(h.contains(p.basis[0]) and h.k == 2 for h in pencil)
     assert pencil == sorted(pencil, key=lambda s: s.basis)
     assert len(set(pencil)) == 4
 
 
 def test_hyperplanes_through_zero_in_dim2():
-    z = Subspace.zero(5, 2)
+    z = Subspace(5, 2, ())
     pencil = hyperplanes_through(z)
     assert len(pencil) == 6
     assert sorted(h.basis[0] for h in pencil) == sorted(enumerate_points(2, 5))
@@ -264,6 +203,38 @@ def test_pencil_partitions_outside_points(n, q):
     assert cover == geom.full_mask
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+def test_pencil_within_matches_brute_force(n, q):
+    # for every ctx of dimension k >= 2 and every (k-2)-subspace u of it,
+    # the pencil is exactly the (k-1)-subspaces between u and ctx; a
+    # subspace is the span of its points, so masks decide containment
+    geom = geometry(n, q)
+
+    def inside(a, b):
+        return geom.mask(a) & ~geom.mask(b) == 0
+
+    pairs = 0
+    for k in range(2, n + 1):
+        for ctx in geom.subspaces(k):
+            for u in geom.subspaces(k - 2):
+                if not inside(u, ctx):
+                    continue
+                want = [
+                    w for w in geom.subspaces(k - 1) if inside(u, w) and inside(w, ctx)
+                ]
+                assert pencil_within(ctx, u) == sorted(want, key=lambda s: s.basis)
+                pairs += 1
+    assert pairs == sum(
+        gaussian_binomial(n, k, q) * gaussian_binomial(k, 2, q) for k in range(2, n + 1)
+    )
+
+
+def test_pencil_within_wrong_dim():
+    ctx = Subspace.span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(WrongDimension):
+        pencil_within(ctx, Subspace(3, 4, ()))
+
+
 @pytest.mark.parametrize(
     "n,q,k,count",
     [(3, 2, 2, 7), (4, 2, 2, 35), (3, 3, 1, 13), (4, 3, 2, 130), (3, 4, 2, 21)],
@@ -276,7 +247,7 @@ def test_subspace_counts(n, q, k, count):
 
 
 def test_enumerate_subspaces_edges():
-    assert list(enumerate_subspaces(3, 2, 0)) == [Subspace.zero(2, 3)]
+    assert list(enumerate_subspaces(3, 2, 0)) == [Subspace(2, 3, ())]
     assert list(enumerate_subspaces(3, 2, -1)) == []
     assert list(enumerate_subspaces(3, 2, 4)) == []
     full = list(enumerate_subspaces(3, 2, 3))
@@ -300,7 +271,8 @@ def test_geometry_masks():
     ]
     p = (1, 2, 0)
     assert geom.point_mask(p).bit_count() == 1
-    assert list(geom.iter_mask(geom.point_mask(p))) == [p]
+    assert geom.lowest_point(geom.point_mask(p)) == p
+    assert geom.lowest_point(m) == next(x for x in geom.points if line.contains(x))
 
 
 def test_geometry_point_dim_masks():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsearch.gf import field
 from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
 from qsearch.separating import (
     Exhausted,
@@ -61,7 +62,7 @@ def test_queryset_validation():
     with pytest.raises(DimensionMismatch):
         QuerySet(2, 4, (line,))  # n mismatch
     with pytest.raises(WrongDimension):
-        QuerySet(2, 3, (Subspace.zero(2, 3),))
+        QuerySet(2, 3, (Subspace(2, 3, ()),))
     with pytest.raises(WrongDimension):
         QuerySet(2, 3, (Subspace.span(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),))
 
@@ -101,6 +102,20 @@ def test_ratio_hyperplane():
         ratio_hyperplane(3, 3, 1, 1, 1)
     with pytest.raises(ValueError):
         ratio_hyperplane(3, 3, 0, 1, 0)
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 3), (3, 4), (3, 8), (3, 9), (4, 3), (4, 5)])
+def test_ratio_hyperplane_matches_equation(n, q):
+    # the spanned hyperplane holds exactly the points with p_j = lam * p_i
+    F = field(q)
+    geom = geometry(n, q)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for lam in range(1, q):
+                h = ratio_hyperplane(q, n, i, j, lam)
+                assert h.k == n - 1
+                for p in geom.points:
+                    assert h.contains(p) == (p[j] == F.mul(lam, p[i]))
 
 
 @pytest.mark.parametrize(
