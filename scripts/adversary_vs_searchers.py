@@ -8,37 +8,32 @@ exit code is nonzero if any run comes in under that or fails to finish."""
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass, field
 
 from qsearch.game import AdversaryOracle, run_game, searcher_from_name
-
-
-@dataclass
-class Roster:
-    qs: list = field(default_factory=lambda: [2, 3, 4, 5, 7])
-    random_seeds: int = 25
-
-    def names(self):
-        return ["plane", "inductive", "two-round"] + [
-            f"random-lines:{s}" for s in range(self.random_seeds)
-        ]
+from qsearch.gf import is_prime_power
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--q", type=int, nargs="+", help="field orders to play")
+    ap.add_argument(
+        "--q", type=int, nargs="+", default=[2, 3, 4, 5, 7], help="field orders to play"
+    )
     ap.add_argument("--seeds", type=int, default=25, help="random-line searchers")
     args = ap.parse_args()
-    roster = Roster()
-    if args.q:
-        roster.qs = args.q
-    roster.random_seeds = args.seeds
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
+    for q in args.q:
+        if not is_prime_power(q):
+            ap.error(f"q={q} is not a prime power")
+    names = ["plane", "inductive", "two-round"] + [
+        f"random-lines:{s}" for s in range(args.seeds)
+    ]
 
     bad = 0
-    for q in roster.qs:
+    for q in args.q:
         floor = 2 * q - 1
         counts = {}
-        for name in roster.names():
+        for name in names:
             t = run_game(searcher_from_name(name, 3, q), AdversaryOracle(q), 3, q)
             if t.identified is None:
                 print(f"q={q} {name}: aborted ({t.outcome})")

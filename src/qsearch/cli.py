@@ -28,7 +28,7 @@ from .game import (
     searcher_from_name,
 )
 from .gf import NotAPrimePower, is_prime_power
-from .projspace import geometry
+from .projspace import TooLarge, gaussian_binomial, geometry
 from .separating import (
     Exhausted,
     QuerySet,
@@ -39,6 +39,11 @@ from .separating import (
     separating_witness,
     unseparated_pencil_count,
 )
+
+
+# Largest number of pencil checks (point pairs times (n-2)-subspaces) that
+# oracle claim-count takes on; its runtime grows with that count.
+CLAIM_CHECK_CAP = 2 * 10**6
 
 
 def _emit(report: dict) -> None:
@@ -166,6 +171,10 @@ def _cmd_claim_count(args) -> int:
     n, q = args.n, args.q
     if n < 3:
         raise ValueError(f"pencils through (n-2)-subspaces need n >= 3, got n={n}")
+    npoints = gaussian_binomial(n, 1, q)
+    checks = npoints * (npoints - 1) // 2 * gaussian_binomial(n, n - 2, q)
+    if checks > CLAIM_CHECK_CAP:
+        raise TooLarge(f"{checks} pencil checks exceeds the cap of {CLAIM_CHECK_CAP}")
     formula = unseparated_pencil_count(n, q)
     geom = geometry(n, q)
     pairs = 0

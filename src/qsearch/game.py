@@ -219,8 +219,27 @@ class PlaneSearcher:
         return ("ask", Subspace.span(self.q, 3, [probe]))
 
 
-# Pencils of the inductive descent, shared by every searcher of a sweep.
-_pencil_within = lru_cache(maxsize=None)(pencil_within)
+@lru_cache(maxsize=None)
+def _round(ctx: Subspace, known_not: Subspace | None):
+    """One round of the inductive descent inside ctx: the pencil axis u,
+    the pencil members to ask about in order, each of them lifted to a
+    hyperplane of the full space, and the member inferred when every ask
+    gets NO.  known_not, when given, is a hyperplane of ctx known not to
+    contain the hidden line; it is skipped, so only q-1 members are asked."""
+    q, n = ctx.q, ctx.n
+    base = known_not if known_not is not None else ctx
+    u = Subspace(q, n, base.basis[: ctx.k - 2])
+    pencil = pencil_within(ctx, u)
+    if known_not is None:
+        to_ask, fallback = tuple(pencil[:q]), pencil[q]
+    else:
+        others = [w for w in pencil if w != known_not]
+        to_ask, fallback = tuple(others[: q - 1]), others[q - 1]
+    # a complement of ctx lifts each member w to the hyperplane of the
+    # full space whose intersection with ctx is exactly w
+    comp = tuple(basis_extension(ctx, Subspace.full(q, n).basis))
+    asks = tuple(Subspace.span(q, n, w.basis + comp) for w in to_ask)
+    return u, to_ask, asks, fallback
 
 
 class InductiveSearcher:
@@ -238,66 +257,29 @@ class InductiveSearcher:
         self.n = n
         self.q = q
         self.name = "inductive"
-        self._gen = None
-        self._fed: tuple[bool, ...] = ()
-        self._pending: Subspace | None = None
-
-    def _lift(self, w: Subspace, ctx: Subspace) -> Subspace:
-        """Extend w by a complement of ctx, giving a hyperplane of the full
-        space whose intersection with ctx is exactly w."""
-        n, q = self.n, self.q
-        comp = basis_extension(ctx, Subspace.full(q, n).basis)
-        return Subspace.span(q, n, w.basis + tuple(comp))
-
-    def _plan(self):
-        n, q = self.n, self.q
-        ctx = Subspace.full(q, n)
-        known_not: Subspace | None = None
-        while ctx.k > 1:
-            base = known_not if known_not is not None else ctx
-            u = Subspace(q, n, base.basis[: ctx.k - 2])
-            pencil = _pencil_within(ctx, u)
-            if known_not is None:
-                to_ask, fallback = pencil[:q], pencil[q]
-            else:
-                others = [w for w in pencil if w != known_not]
-                to_ask, fallback = others[: q - 1], others[q - 1]
-            hit = None
-            for j, w in enumerate(to_ask):
-                if (yield self._lift(w, ctx)):
-                    hit = j, w
-                    break
-            if hit is None:
-                ctx, known_not = fallback, u
-            else:
-                j, w = hit
-                known_not = None if (j == 0 and known_not is None) else u
-                ctx = w
-
-    def _advance(self, answers: tuple[bool, ...]) -> Subspace:
-        """Plan query following the given answer prefix.  A pure function of
-        `answers`; the kept generator only memoizes the common case where
-        each call extends the previous history by one answer."""
-        if self._gen is None or answers[: len(self._fed)] != self._fed:
-            self._gen = self._plan()
-            self._fed = ()
-            self._pending = next(self._gen)
-        for a in answers[len(self._fed) :]:
-            self._pending = self._gen.send(a)
-            self._fed = self._fed + (a,)
-        return self._pending
 
     def decide(self, view: GameView):
         if view.candidates.bit_count() == 1:
             return ("announce", view.geom.lowest_point(view.candidates))
-        try:
-            qry = self._advance(tuple(past.yes for _, past in view.history))
-        except StopIteration:
-            self._gen = None
-            raise InternalInconsistency(
-                "plan finished with more than one consistent point"
-            ) from None
-        return ("ask", qry)
+        ctx, known_not, j = Subspace.full(self.q, self.n), None, 0
+        u, to_ask, asks, fallback = _round(ctx, known_not)
+        # a NO moves on to the next member of the round's pencil; a YES, or
+        # a NO to the last one, descends into a member and starts a round
+        for _, ans in view.history:
+            if not ans.yes and j + 1 < len(to_ask):
+                j += 1
+                continue
+            if ans.yes:
+                ctx, known_not = to_ask[j], (None if j == 0 and known_not is None else u)
+            else:
+                ctx, known_not = fallback, u
+            if ctx.k == 1:
+                break
+            j = 0
+            u, to_ask, asks, fallback = _round(ctx, known_not)
+        if ctx.k == 1:
+            raise InternalInconsistency("plan finished with more than one consistent point")
+        return ("ask", asks[j])
 
 
 class TwoRoundSearcher:
@@ -420,9 +402,6 @@ class AdversaryOracle:
                     declared.append(ans.volunteered[1])
         return declared, committed, cand
 
-    def _extendable(self, lines) -> bool:
-        return bool(_completions(self.geom, lines))
-
     def answer(self, query: Subspace, history) -> Answer:
         if (query.q, query.n) != (self.q, 3):
             raise DimensionMismatch(f"adversary plays GF({self.q})^3 only")
@@ -436,14 +415,14 @@ class AdversaryOracle:
                 return Answer(False)
             return Answer(bool(cand & m))
         if query.k == 2:
-            if self._extendable(declared + [query]):
+            if _completions(geom, declared + [query]):
                 return Answer(True)
             return Answer(False)
         # point question: volunteer a line constraint instead
         p = query.basis[0]
         pencil = geom.pencil(query)
         for ln in pencil:
-            if not self._extendable(declared + [ln]):
+            if not _completions(geom, declared + [ln]):
                 return Answer(False, ("not-in-line", ln))
         for m in pencil:
             for lstar in _completions(geom, declared + [m]):

@@ -225,12 +225,6 @@ def pencil_within(ctx: Subspace, u: Subspace) -> list[Subspace]:
     return out
 
 
-def hyperplanes_through(u: Subspace) -> list[Subspace]:
-    """The q+1 hyperplanes containing a subspace of dimension n-2, sorted by
-    basis tuple."""
-    return pencil_within(Subspace.full(u.q, u.n), u)
-
-
 def enumerate_subspaces(n: int, q: int, k: int):
     """All k-dimensional subspaces of GF(q)^n, streamed in a deterministic
     order, built directly in echelon form: choose pivot columns, then fill
@@ -301,9 +295,11 @@ class Geometry:
         return 1 << self.index[normalize(self.q, p)]
 
     def pencil(self, u: Subspace) -> list[Subspace]:
+        """The q+1 hyperplanes containing a subspace of dimension n-2,
+        sorted by basis tuple."""
         got = self._pencil_cache.get(u)
         if got is None:
-            got = hyperplanes_through(u)
+            got = pencil_within(Subspace.full(self.q, self.n), u)
             self._pencil_cache[u] = got
         return got
 

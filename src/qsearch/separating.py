@@ -320,6 +320,8 @@ def brute_force_minimum(
     proper subspaces when the flag is off), by iterative deepening over the
     query count with partition-refinement pruning.  Deterministic: returns
     the first witness in enumeration order."""
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     if max_size > BRUTE_SIZE_CAP:
         raise TooLarge(f"size cap is {BRUTE_SIZE_CAP}, asked for {max_size}")
     npoints = gaussian_binomial(n, 1, q)

@@ -253,6 +253,8 @@ def test_verify_missing_file(capsys):
           "--oracle", "fixed:5,1,1"), "outside [0, 4)"),
         (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
           "--oracle", "fixed:-1,1,1"), "outside [0, 3)"),
+        (("oracle", "brute-min", "--n", "3", "--q", "2", "--max", "-1"), "max_size must be >= 0"),
+        (("oracle", "claim-count", "--n", "12", "--q", "3"), "cap of 2000000"),
     ],
 )
 def test_oversized_or_out_of_range_input_is_one_line_error(capsys, argv, message):

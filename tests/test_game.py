@@ -11,11 +11,13 @@ from qsearch.game import (
     GameView,
     InconsistentOracle,
     InductiveSearcher,
+    InternalInconsistency,
     PlaneSearcher,
     RandomLineSearcher,
     Transcript,
     TwoRoundSearcher,
     _completions,
+    _narrow,
     oracle_from_name,
     replay,
     run_game,
@@ -84,6 +86,53 @@ def test_inductive_first_query_is_history_function():
     q1 = InductiveSearcher(3, 3).decide(view0)
     q2 = InductiveSearcher(3, 3).decide(view0)
     assert q1 == q2
+
+
+PURITY_CASES = [
+    (name, n, q)
+    for n, q in ((3, 3), (3, 4), (4, 2), (2, 5))
+    for name in ("plane", "inductive", "two-round", "random-lines:1")
+    if name != "plane" or n == 3
+]
+
+
+@pytest.mark.parametrize("name,n,q", PURITY_CASES)
+def test_searchers_are_pure_over_the_answer_tree(name, n, q):
+    # one instance walks every consistent YES/NO branch depth-first, so
+    # after each backtrack its next history does not extend the last one
+    geom = geometry(n, q)
+    searcher = searcher_from_name(name, n, q)
+    leaves, depths = [], []
+
+    def walk(history, cand):
+        view = GameView(n, q, geom, history, cand)
+        kind, payload = searcher.decide(view)
+        assert (kind, payload) == searcher_from_name(name, n, q).decide(view)
+        if kind == "announce":
+            assert geom.point_mask(payload) == cand
+            leaves.append(geom.lowest_point(cand))
+            depths.append(len(history))
+            return
+        for yes in (True, False):
+            ans = Answer(yes)
+            sub = _narrow(geom, cand, payload, ans)
+            if sub:
+                walk(history + ((payload, ans),), sub)
+
+    walk((), geom.full_mask)
+    assert sorted(leaves) == sorted(geom.points)
+    descent = (q - 1) * (n - 1) + 1
+    bound = {"plane": 2 * q - 1, "inductive": descent, "two-round": descent}
+    # random lines stop once every hyperplane is asked: one per point
+    assert max(depths) <= bound.get(name, len(geom.points))
+
+
+def test_inductive_point_context_with_open_candidates_is_inconsistent():
+    geom = geometry(2, 2)
+    _, first = InductiveSearcher(2, 2).decide(GameView(2, 2, geom, (), geom.full_mask))
+    view = GameView(2, 2, geom, ((first, Answer(True)),), geom.full_mask)
+    with pytest.raises(InternalInconsistency, match="more than one consistent point"):
+        InductiveSearcher(2, 2).decide(view)
 
 
 def test_random_lines_searcher_identifies():

@@ -14,7 +14,6 @@ from qsearch.projspace import (
     enumerate_subspaces,
     gaussian_binomial,
     geometry,
-    hyperplanes_through,
     normalize,
     pencil_within,
     rref,
@@ -166,7 +165,7 @@ def test_parse_rejects_garbage():
 
 def test_hyperplanes_through_point_in_plane():
     p = Subspace.span(3, 3, [(1, 2, 0)])
-    pencil = hyperplanes_through(p)
+    pencil = geometry(3, 3).pencil(p)
     assert len(pencil) == 4  # q + 1
     assert all(h.contains(p.basis[0]) and h.k == 2 for h in pencil)
     assert pencil == sorted(pencil, key=lambda s: s.basis)
@@ -175,7 +174,7 @@ def test_hyperplanes_through_point_in_plane():
 
 def test_hyperplanes_through_zero_in_dim2():
     z = Subspace(5, 2, ())
-    pencil = hyperplanes_through(z)
+    pencil = geometry(2, 5).pencil(z)
     assert len(pencil) == 6
     assert sorted(h.basis[0] for h in pencil) == sorted(enumerate_points(2, 5))
 
@@ -183,7 +182,7 @@ def test_hyperplanes_through_zero_in_dim2():
 def test_hyperplanes_through_wrong_dim():
     line = Subspace.span(2, 4, [(1, 0, 0, 0)])  # k=1, need k=n-2=2
     with pytest.raises(WrongDimension):
-        hyperplanes_through(line)
+        geometry(4, 2).pencil(line)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (4, 3)])

@@ -1,0 +1,53 @@
+"""The experiment scripts run end to end and reject bad grids with a usage
+error, never a traceback."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_adversary_script_tiny_grid():
+    got = run_script("adversary_vs_searchers.py", "--q", "2", "3", "--seeds", "2")
+    assert got.returncode == 0, got.stderr
+    lines = got.stdout.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["q=2", "q=3"]
+    assert lines[1].startswith("q=3 floor=5: ") and lines[1].endswith("over 2 seeds")
+
+
+def test_bounds_script_tiny_grid():
+    got = run_script("bounds_table.py", "--n", "3", "--q", "2", "6")
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == "skipping q=6: not a prime power\n"
+    rows = got.stdout.splitlines()
+    assert len(rows) > 1 and all(row.startswith("3,2,") for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--seeds", "0"), "--seeds must be at least 1, got 0"),
+        (("--q", "6"), "q=6 is not a prime power"),
+    ],
+)
+def test_adversary_script_rejects_bad_grid(args, message):
+    got = run_script("adversary_vs_searchers.py", *args)
+    assert got.returncode == 2
+    assert got.stdout == ""
+    assert "Traceback" not in got.stderr
+    assert message in got.stderr
