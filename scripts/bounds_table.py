@@ -5,6 +5,7 @@ dataframe; non-prime-power orders in the grid are skipped with a note on
 stderr."""
 
 import argparse
+import os
 import sys
 
 from qsearch.bounds import bounds_report, write_bounds_csv
@@ -30,7 +31,15 @@ def main() -> int:
         "--q", type=int, nargs="+", default=[2, 3, 4, 5, 7, 8, 9], help="field orders"
     )
     args = ap.parse_args()
-    write_bounds_csv(sys.stdout, reports(args.n, args.q))
+    try:
+        write_bounds_csv(sys.stdout, reports(args.n, args.q))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone: send the unwritten rest to devnull so that the
+        # flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

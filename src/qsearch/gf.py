@@ -118,9 +118,9 @@ class GF:
     """
 
     def __init__(self, q: int, max_order: int = DEFAULT_MAX_ORDER):
-        p, e = factor_prime_power(q)
         if q > max_order:
             raise ValueError(f"field order {q} above the configured cap {max_order}")
+        p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e

@@ -139,6 +139,7 @@ class Subspace:
         return Subspace(q, n, rref(q, rows))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def full(q: int, n: int) -> "Subspace":
         """The whole space, its basis rows being the unit vectors in order."""
         return Subspace(

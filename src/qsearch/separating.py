@@ -6,12 +6,16 @@ then identifies any unknown 1-dimensional subspace.  This module builds
 such systems (deterministic and randomized), verifies and reduces them,
 rewrites point queries into hyperplane queries in dimension 3, and finds
 exact minima by exhaustive search on small instances.
+
+Every separation question reads one table, `signatures`: each point's
+answer vector as an int whose bit j answers query j.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .projspace import (
@@ -87,39 +91,32 @@ class QuerySet:
         return QuerySet(q, n, queries, provenance="user")
 
 
-def signatures(qs: QuerySet) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map each projective point to its 0/1 answer vector."""
+def signatures(qs: QuerySet) -> list[int]:
+    """Answer vector of every point, in geometry(n, q).points order: bit j
+    is set when the point lies in query j."""
     geom = geometry(qs.n, qs.q)
-    masks = [geom.mask(s) for s in qs.queries]
-    out = {}
-    for i, p in enumerate(geom.points):
-        out[p] = tuple((m >> i) & 1 for m in masks)
-    return out
-
-
-def _refine(classes: list[int], m: int) -> list[int]:
-    out = []
-    for c in classes:
-        a = c & m
-        b = c & ~m
-        if a:
-            out.append(a)
-        if b:
-            out.append(b)
-    return out
+    sigs = [0] * len(geom.points)
+    for j, s in enumerate(qs.queries):
+        bits = bin(geom.mask(s))[:1:-1]  # bits[i] is point i's membership
+        i = bits.find("1")
+        while i >= 0:
+            sigs[i] |= 1 << j
+            i = bits.find("1", i + 1)
+    return sigs
 
 
 def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """None when separating, else the lexicographically first colliding pair."""
-    geom = geometry(qs.n, qs.q)
-    classes = [geom.full_mask]
-    for s in qs.queries:
-        classes = _refine(classes, geom.mask(s))
-    bad = [c for c in classes if c.bit_count() > 1]
-    if not bad:
+    """None when separating, else the lexicographically first colliding pair:
+    the two lowest points of the colliding class whose lowest comes first."""
+    first: dict[int, int] = {}
+    pair = None
+    for i, s in enumerate(signatures(qs)):
+        f = first.setdefault(s, i)
+        if f != i and (pair is None or f < pair[0]):
+            pair = (f, i)
+    if pair is None:
         return None
-    c = min(bad, key=lambda x: x & -x)
-    return (geom.lowest_point(c), geom.lowest_point(c & (c - 1)))
+    return tuple(geometry(qs.n, qs.q).points[i] for i in pair)
 
 
 def is_separating(qs: QuerySet) -> bool:
@@ -137,6 +134,7 @@ def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
     return Subspace(q, n, units[:i] + units[i + 1 :])
 
 
+@lru_cache(maxsize=None)
 def ratio_hyperplane(q: int, n: int, i: int, j: int, lam: int) -> Subspace:
     """The hyperplane v_j = lam * v_i for coordinates i < j, spanned by the
     unit vectors e_k for k other than i, j and by e_i + lam * e_j."""
@@ -249,14 +247,16 @@ def minimal_subsystem(qs: QuerySet) -> QuerySet:
     A query dropped here stays droppable after later removals shrink the
     set further, so a single reverse sweep reaches a minimal system.
     """
-    if not is_separating(qs):
+    sigs = signatures(qs)
+    if len(set(sigs)) < len(sigs):
         raise NotSeparating("cannot reduce a non-separating system")
-    kept = list(qs.queries)
-    for i in range(len(kept) - 1, -1, -1):
-        trial = kept[:i] + kept[i + 1 :]
-        if is_separating(QuerySet(qs.q, qs.n, tuple(trial), qs.provenance)):
+    kept = (1 << len(qs)) - 1
+    for i in range(len(qs) - 1, -1, -1):
+        trial = kept & ~(1 << i)
+        if len({s & trial for s in sigs}) == len(sigs):
             kept = trial
-    return QuerySet(qs.q, qs.n, tuple(kept), provenance=f"minimal:{qs.provenance}")
+    queries = tuple(s for i, s in enumerate(qs.queries) if kept >> i & 1)
+    return QuerySet(qs.q, qs.n, queries, provenance=f"minimal:{qs.provenance}")
 
 
 def points_to_lines(qs: QuerySet) -> QuerySet:
@@ -278,11 +278,9 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
         if idx is None:
             break
         p = queries[idx].basis[0]
-        rest = QuerySet(
-            qs.q, 3, tuple(queries[:idx] + queries[idx + 1 :]), qs.provenance
-        )
-        sig = signatures(rest)
-        partners = [x for x in geom.points if x != p and sig[x] == sig[p]]
+        sigs = signatures(QuerySet(qs.q, 3, tuple(queries[:idx] + queries[idx + 1 :])))
+        mine = sigs[geom.index[p]]
+        partners = [x for x, s in zip(geom.points, sigs) if x != p and s == mine]
         if len(partners) > 1:
             raise UniquenessViolation(
                 f"point {p} collides with {len(partners)} points without its query"
@@ -348,7 +346,7 @@ def brute_force_minimum(
             if all(not (c & m) or (c & m) == c for c in classes):
                 continue
             chosen.append(i)
-            nxt = [c for c in _refine(classes, m) if c.bit_count() > 1]
+            nxt = [d for c in classes for d in (c & m, c & ~m) if d.bit_count() > 1]
             got = dfs(i + 1, nxt, chosen, budget - 1)
             if got is not None:
                 return got

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -255,10 +256,23 @@ def test_verify_missing_file(capsys):
           "--oracle", "fixed:-1,1,1"), "outside [0, 3)"),
         (("oracle", "brute-min", "--n", "3", "--q", "2", "--max", "-1"), "max_size must be >= 0"),
         (("oracle", "claim-count", "--n", "12", "--q", "3"), "cap of 2000000"),
+        (("verify", "huge-q.txt"), "field order 1000000000000000003 above the configured cap"),
     ],
 )
-def test_oversized_or_out_of_range_input_is_one_line_error(capsys, argv, message):
+def test_oversized_or_out_of_range_input_is_one_line_error(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    # a system over an order far above the field cap; factoring that order
+    # by trial division would take minutes, so the cap must come first
+    huge = 10**18 + 3
+    (tmp_path / "huge-q.txt").write_text(
+        f"{huge} 3 1\nq={huge} n=3 k=2 basis=[[1,0,0],[0,1,0]]\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    start = time.monotonic()
     code, out, err = run(capsys, *argv)
+    # every cap is checked before the work it bounds
+    assert time.monotonic() - start < 10
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,11 +11,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
@@ -43,6 +44,7 @@ def test_bounds_script_tiny_grid():
     [
         (("--seeds", "0"), "--seeds must be at least 1, got 0"),
         (("--q", "6"), "q=6 is not a prime power"),
+        (("--q", "3", "1031"), "q=1031: 1063993 points exceeds the cap of 1000000"),
     ],
 )
 def test_adversary_script_rejects_bad_grid(args, message):
@@ -51,3 +53,23 @@ def test_adversary_script_rejects_bad_grid(args, message):
     assert got.stdout == ""
     assert "Traceback" not in got.stderr
     assert message in got.stderr
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("adversary_vs_searchers.py", ("--q", "2", "3", "--seeds", "2")),
+        ("bounds_table.py", ()),
+    ],
+)
+def test_script_on_a_closed_pipe_ends_without_traceback(name, args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = run_script(name, *args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert got.returncode == 1
+    assert "Traceback" not in got.stderr
+    assert "Exception ignored" not in got.stderr
+    assert got.stderr == "error: [Errno 32] Broken pipe\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,7 +39,7 @@ def test_fano_triangle_separates():
     assert is_separating(qs)
     sigs = signatures(qs)
     assert len(sigs) == 7
-    assert len(set(sigs.values())) == 7
+    assert len(set(sigs)) == 7
 
 
 def test_single_line_witness_frozen():
@@ -46,13 +48,13 @@ def test_single_line_witness_frozen():
     # the class holding the lex-first point is off the line; its two lowest
     # members collide
     assert separating_witness(qs) == ((0, 0, 1), (0, 1, 1))
-    assert len(set(signatures(qs).values())) == 2
+    assert sorted(set(signatures(qs))) == [0, 1]
 
 
 def test_empty_system_witness():
     qs = QuerySet(3, 3, ())
     assert separating_witness(qs) == ((0, 0, 1), (0, 1, 0))
-    assert len(set(signatures(qs).values())) == 1
+    assert signatures(qs) == [0] * 13
 
 
 def test_queryset_validation():
@@ -262,10 +264,78 @@ def test_separation_matches_signature_distinctness(picks):
     geom = geometry(3, 3)
     lines = geom.subspaces(2)
     qs = QuerySet(3, 3, tuple(lines[i] for i in picks))
+    # the answer vector of each point, asked query by query
+    answers = {p: tuple(s.contains(p) for s in qs.queries) for p in geom.points}
     sigs = signatures(qs)
-    distinct = len(set(sigs.values())) == len(geom.points)
+    assert sigs == [
+        sum(yes << j for j, yes in enumerate(answers[p])) for p in geom.points
+    ]
+    distinct = len(set(answers.values())) == len(geom.points)
     assert is_separating(qs) == distinct
     wit = separating_witness(qs)
     if wit is not None:
-        assert sigs[wit[0]] == sigs[wit[1]]
+        assert answers[wit[0]] == answers[wit[1]]
         assert wit[0] != wit[1]
+
+
+def refinement_witness(qs):
+    """The partition-refinement check the answer-vector table replaced:
+    split every cell of points by each query's mask, then report the two
+    lowest points of the multi-point cell whose lowest point comes first."""
+    geom = geometry(qs.n, qs.q)
+    classes = [geom.full_mask]
+    for s in qs.queries:
+        m = geom.mask(s)
+        classes = [d for c in classes for d in (c & m, c & ~m) if d]
+    bad = [c for c in classes if c.bit_count() > 1]
+    if not bad:
+        return None
+    c = min(bad, key=lambda x: x & -x)
+    return (geom.lowest_point(c), geom.lowest_point(c & (c - 1)))
+
+
+def recheck_minimal(qs):
+    """The rebuild-and-recheck reduction: drop each query in reverse order
+    when the rebuilt system without it still separates."""
+    kept = list(qs.queries)
+    for i in range(len(kept) - 1, -1, -1):
+        trial = kept[:i] + kept[i + 1 :]
+        if refinement_witness(QuerySet(qs.q, qs.n, tuple(trial))) is None:
+            kept = trial
+    return tuple(kept)
+
+
+def random_systems(n, q, count, seed):
+    """Seeded systems mixing every proper dimension, with repeated queries;
+    half of them start from the explicit construction, so they separate."""
+    rng = random.Random(f"systems:{n}:{q}:{seed}")
+    geom = geometry(n, q)
+    pool = [s for k in range(1, n) for s in geom.subspaces(k)]
+    explicit = list(explicit_construction(n, q).queries)
+    yield QuerySet(q, n, ())
+    for i in range(count):
+        queries = [rng.choice(pool) for _ in range(rng.randrange(2 * n * q))]
+        queries += rng.choices(queries, k=len(queries) // 3)  # repeats
+        if i % 2:
+            queries += explicit
+        rng.shuffle(queries)
+        yield QuerySet(q, n, tuple(queries))
+
+
+@pytest.mark.parametrize(
+    "n,q", [(2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)]
+)
+def test_table_matches_refinement_oracle(n, q):
+    separating = broken = 0
+    for qs in random_systems(n, q, 60, seed=0):
+        wit = refinement_witness(qs)
+        assert separating_witness(qs) == wit
+        assert is_separating(qs) == (wit is None)
+        if wit is None:
+            separating += 1
+            assert minimal_subsystem(qs).queries == recheck_minimal(qs)
+        else:
+            broken += 1
+            with pytest.raises(NotSeparating):
+                minimal_subsystem(qs)
+    assert separating >= 30 and broken >= 1
