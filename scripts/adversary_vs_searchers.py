@@ -53,11 +53,11 @@ def main() -> int:
     if args.seeds < 1:
         ap.error(f"--seeds must be at least 1, got {args.seeds}")
     for q in args.q:
-        if not is_prime_power(q):
-            ap.error(f"q={q} is not a prime power")
         try:
+            if not is_prime_power(q):
+                ap.error(f"q={q} is not a prime power")
             geometry(3, q)
-        except ValueError as exc:  # TooLarge, or an order above the field cap
+        except ValueError as exc:  # TooLarge, or an order above a cap
             ap.error(f"q={q}: {exc}")
     names = ["plane", "inductive", "two-round"] + [
         f"random-lines:{s}" for s in range(args.seeds)

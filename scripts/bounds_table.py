@@ -18,8 +18,11 @@ def reports(ns, qs):
             if n < 2:
                 print(f"skipping n={n}: need n >= 2", file=sys.stderr)
                 continue
-            if not is_prime_power(q):
-                print(f"skipping q={q}: not a prime power", file=sys.stderr)
+            try:
+                if not is_prime_power(q):
+                    raise ValueError("not a prime power")
+            except ValueError as exc:  # or an order beyond the primality test
+                print(f"skipping q={q}: {exc}", file=sys.stderr)
                 continue
             yield bounds_report(n, q)
 

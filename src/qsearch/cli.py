@@ -28,7 +28,7 @@ from .game import (
     searcher_from_name,
 )
 from .gf import NotAPrimePower, is_prime_power
-from .projspace import TooLarge, gaussian_binomial, geometry
+from .projspace import TooLarge, gaussian_binomial, geometry, point_count
 from .separating import (
     Exhausted,
     QuerySet,
@@ -57,6 +57,7 @@ def _save_transcript(path: str | None, t: Transcript) -> None:
 
 def _cmd_adaptive(args) -> int:
     n, q = args.n, args.q
+    geom = geometry(n, q)  # the point cap comes before any other work
     bound = adaptive_bounds(n, q)[1]
     report = {
         "command": "adaptive",
@@ -69,7 +70,6 @@ def _cmd_adaptive(args) -> int:
     if args.oracle == "fixed:all":
         if args.save:
             raise ValueError("--save records a single game, not a sweep")
-        geom = geometry(n, q)
         counts = []
         failures = 0
         for point in geom.points:
@@ -107,6 +107,7 @@ def _cmd_adaptive(args) -> int:
 
 def _cmd_construct(args) -> int:
     n, q = args.n, args.q
+    geometry(n, q)  # the point cap comes before any other work
     bounds = nonadaptive_bounds(n, q)
     if args.method == "explicit":
         qs = explicit_construction(n, q)
@@ -171,7 +172,7 @@ def _cmd_claim_count(args) -> int:
     n, q = args.n, args.q
     if n < 3:
         raise ValueError(f"pencils through (n-2)-subspaces need n >= 3, got n={n}")
-    npoints = gaussian_binomial(n, 1, q)
+    npoints = point_count(n, q, CLAIM_CHECK_CAP)  # every pair is checked
     checks = npoints * (npoints - 1) // 2 * gaussian_binomial(n, n - 2, q)
     if checks > CLAIM_CHECK_CAP:
         raise TooLarge(f"{checks} pencil checks exceeds the cap of {CLAIM_CHECK_CAP}")
@@ -241,8 +242,15 @@ def _cmd_replay(args) -> int:
     return 0 if match else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsearch",
         description="search for an unknown line through the origin in GF(q)^n",
     )
@@ -317,12 +325,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     q = getattr(args, "q", None)
-    if q is not None and not is_prime_power(q):
-        parser.error(f"q={q} is not a prime power")
     n = getattr(args, "n", None)
-    if n is not None and n < 2:
-        parser.error(f"need n >= 2, got n={n}")
     try:
+        if q is not None and not is_prime_power(q):
+            parser.error(f"q={q} is not a prime power")
+        if n is not None and n < 2:
+            parser.error(f"need n >= 2, got n={n}")
         return args.handler(args)
     except (NotAPrimePower, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,16 +8,19 @@ of x^i, so 0 and 1 are always the additive and multiplicative identities.
 The modulus of an extension field is the lexicographically smallest monic
 irreducible polynomial of degree e over GF(p), coefficients compared low
 degree first, so two constructions of GF(q) always agree element by element.
+
+Prime and extension fields share one arithmetic path: multiplication goes
+through log/antilog tables of a fixed generator, and addition through a
+carry-free respelling of the base-p digits in base 2p-1 (see `GF`).  No
+table has q^2 entries; the largest, ``fold``, has (2p-1)^e = (2 - 1/p)^e q.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
-# Largest field order constructed by default; keeps the log/antilog and
-# addition tables small.
+# Largest field order constructed by default; keeps the tables small.
 DEFAULT_MAX_ORDER = 1024
 
 
@@ -25,17 +28,56 @@ class NotAPrimePower(ValueError):
     """Field order is not p^e for a prime p."""
 
 
+# Miller-Rabin over the 13 prime bases 2 to 41 is exact below this (A014233).
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= m < PRIMALITY_BOUND."""
+    if m in _BASES:
+        return True
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m ** (1/e)) by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + m // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e and p prime, or raise NotAPrimePower."""
+    """Return (p, e) with q = p^e and p prime, or raise NotAPrimePower.
+
+    Only the root for the largest e with an exact e-th root can be prime,
+    and it is tested by Miller-Rabin; a root at or above PRIMALITY_BOUND
+    raises a plain ValueError, since that test is no longer exact there."""
     if not isinstance(q, int) or isinstance(q, bool) or q < 2:
         raise NotAPrimePower(f"field order must be an integer >= 2, got {q!r}")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise NotAPrimePower(f"{q} is divisible by {p} but is not a power of it")
+    e = next(e for e in range(q.bit_length(), 0, -1) if _iroot(q, e) ** e == q)
+    p = _iroot(q, e)
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}")
+    if not _is_prime(p):
+        raise NotAPrimePower(f"{q} is not a prime power")
     return p, e
 
 
@@ -95,79 +137,49 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 class GF:
     """One finite field GF(q).  Immutable once constructed.
 
-    Elements are ints in [0, q).  Multiplication and inversion in extension
-    fields go through log/antilog tables built on a fixed generator of the
-    multiplicative group; prime fields use modular arithmetic directly.
+    Elements are ints in [0, q).  Every field, prime or not, is built from
+    the same four tables, of 4q - 3, q, q and (2p-1)^e entries:
+
+    - ``exp`` lists the powers of a fixed generator twice over, then a
+      block of zeros; ``log[0]`` points into that block, so ``mul`` is one
+      lookup even when a factor is 0.
+    - ``spread`` respells an element's base-p digits in base 2p-1, where
+      adding two respelled elements as plain ints never carries (a digit
+      sum is at most 2p-2); ``fold`` reduces every digit of such a sum
+      mod p, so ``add(a, b) = fold[spread[a] + spread[b]]``.
+
+    ``fold`` grows as (2 - 1/p)^e q: 3^16, about 43 million entries, at
+    GF(2^16), so a ``max_order`` above about 2^14 is impractical in char 2.
     """
 
     def __init__(self, q: int, max_order: int = DEFAULT_MAX_ORDER):
         if q > max_order:
             raise ValueError(f"field order {q} above the configured cap {max_order}")
         p, e = factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.e = e
+        self.q, self.p, self.e = q, p, e
         self.modulus = self._smallest_irreducible(p, e)
-        if e == 1:
-            self.generator = self._prime_field_generator(p)
-            self.exp: tuple[int, ...] | None = None
-            self.log: tuple[int, ...] | None = None
-            self._add_table: list[int] | None = None
-        else:
-            self.generator = self._extension_generator()
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(self._raw_mul(exp[-1], self.generator))
-            if len(set(exp)) != q - 1:
-                raise AssertionError("generator order check failed")
-            self.exp = tuple(exp)
-            log = [0] * q
-            for i, v in enumerate(exp):
-                log[v] = i
-            self.log = tuple(log)
-            if p == 2:
-                self._add_table = None
-            else:
-                self._add_table = [
-                    self._digitwise_add(a, b) for a in range(q) for b in range(q)
-                ]
+        self.generator, cycle = self._generator()
+        self.exp = tuple(cycle * 2 + [0] * (2 * q - 1))
+        log = [2 * (q - 1)] * q  # log[0] + log[b] always lands on a zero
+        for i, v in enumerate(cycle):
+            log[v] = i
+        self.log = tuple(log)
+        spread, fold = [0], [0]
+        for i in range(e):
+            spread = [d * (2 * p - 1) ** i + s for d in range(p) for s in spread]
+            fold = [d % p * p**i + f for d in range(2 * p - 1) for f in fold]
+        self.spread = tuple(spread)
+        self.fold = tuple(fold)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
-        for tail in itertools.product(range(p), repeat=e):
-            cand = tail + (1,)
-            if _is_irreducible(cand, p):
-                return cand
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    @staticmethod
-    def _prime_field_generator(p: int) -> int:
-        if p == 2:
-            return 1
-        factors = _prime_factors(p - 1)
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // r, p) != 1 for r in factors):
-                return g
-        raise AssertionError("no generator found")  # unreachable
+        monic = (tail + (1,) for tail in itertools.product(range(p), repeat=e))
+        return next(c for c in monic if _is_irreducible(c, p))
 
     def _to_poly(self, a: int) -> tuple[int, ...]:
         digits = []
@@ -186,63 +198,42 @@ class GF:
         prod = _poly_mul(self._to_poly(a), self._to_poly(b), self.p)
         return self._from_poly(_poly_mod(prod, self.modulus, self.p))
 
-    def _raw_pow(self, a: int, k: int) -> int:
-        out = 1
-        while k:
-            if k & 1:
-                out = self._raw_mul(out, a)
-            a = self._raw_mul(a, a)
-            k >>= 1
-        return out
-
-    def _extension_generator(self) -> int:
-        factors = _prime_factors(self.q - 1)
-        for g in range(2, self.q):
-            if all(self._raw_pow(g, (self.q - 1) // r) != 1 for r in factors):
-                return g
+    def _generator(self) -> tuple[int, list[int]]:
+        """The smallest element g of multiplicative order q - 1 (1 in GF(2)),
+        and its powers g^0, ..., g^(q-2)."""
+        for g in range(1, self.q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._raw_mul(x, g)
+            if len(powers) == self.q - 1:
+                return g, powers
         raise AssertionError("no generator found")  # unreachable
-
-    def _digitwise_add(self, a: int, b: int) -> int:
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._add_table[a * self.q + b]
+        return self.fold[self.spread[a] + self.spread[b]]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
         return self.mul(a, self.p - 1)  # p - 1 encodes the scalar -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.e == 1:
-            return (a * b) % self.p
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)]
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def axpy(self, c: int, x, y) -> list[int]:
+        """The row c*x + y, entry by entry."""
+        exp, log, spread, fold = self.exp, self.log, self.spread, self.fold
+        lc = log[c]
+        return [fold[spread[exp[lc + log[a]]] + spread[b]] for a, b in zip(x, y)]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -65,6 +65,17 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def point_count(n: int, q: int, cap: int) -> int:
+    """Number of points of PG(n-1, q).  Raises TooLarge when it exceeds cap,
+    without computing q^n once 2^(n-1), a lower bound, already does."""
+    if n - 1 >= cap.bit_length():
+        raise TooLarge(f"at least 2^{n - 1} points exceeds the cap of {cap}")
+    count = gaussian_binomial(n, 1, q)
+    if count > cap:
+        raise TooLarge(f"{count} points exceeds the cap of {cap}")
+    return count
+
+
 def normalize(q: int, vec) -> tuple[int, ...]:
     """Canonical projective representative: scale so the first nonzero
     coordinate becomes 1."""
@@ -74,8 +85,7 @@ def normalize(q: int, vec) -> tuple[int, ...]:
         if c:
             if c == 1:
                 return v
-            s = F.inv(c)
-            return tuple(F.mul(s, x) for x in v)
+            return tuple(F.axpy(F.inv(c), v, [0] * len(v)))
     raise ZeroVector(f"cannot normalize the zero vector in GF({q})^{len(v)}")
 
 
@@ -110,12 +120,10 @@ def rref(q: int, rows) -> tuple[tuple[int, ...], ...]:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        s = F.inv(mat[rank][col])
-        mat[rank] = [F.mul(s, x) for x in mat[rank]]
+        mat[rank] = F.axpy(F.inv(mat[rank][col]), mat[rank], [0] * ncols)
         for r in range(nrows):
             if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
+                mat[r] = F.axpy(F.neg(mat[r][col]), mat[rank], mat[r])
         rank += 1
         if rank == nrows:
             break
@@ -160,9 +168,8 @@ class Subspace:
         if len(v) != self.n:
             raise DimensionMismatch(f"vector {vec!r} not of length {self.n}")
         for row, pc in zip(self.basis, self.pivots()):
-            c = v[pc]
-            if c:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+            if v[pc]:
+                v = F.axpy(F.neg(v[pc]), row, v)
         return not any(v)
 
     def literal(self) -> str:
@@ -180,6 +187,8 @@ class Subspace:
         q, n, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
         rows = json.loads(m.group(4))
         for r in rows:
+            if not isinstance(r, list) or any(type(x) is not int for x in r):
+                raise ValueError(f"basis row {r!r} is not a list of integers")
             if len(r) != n:
                 raise DimensionMismatch(f"basis row {r} not of length {n}")
             if any(not 0 <= x < q for x in r):
@@ -218,9 +227,7 @@ def pencil_within(ctx: Subspace, u: Subspace) -> list[Subspace]:
     q, n = ctx.q, ctx.n
     F = field(q)
     a, b = basis_extension(u, ctx.basis)
-    tops = [a] + [
-        tuple(F.add(F.mul(t, x), y) for x, y in zip(a, b)) for t in range(q)
-    ]
+    tops = [a] + [tuple(F.axpy(t, a, b)) for t in range(q)]
     out = [Subspace.span(q, n, u.basis + (v,)) for v in tops]
     out.sort(key=lambda s: s.basis)
     return out
@@ -272,24 +279,22 @@ class Geometry:
     def mask(self, s: Subspace) -> int:
         """Bitmask of the projective points inside a subspace.
 
-        The canonical local coordinate tuples of PG(k-1, q), pushed through
-        an echelon basis, land directly on canonical ambient points, so no
-        renormalization is needed.
+        With the echelon basis b_0, ..., b_{k-1}, each point is b_i + v for
+        exactly one i and one v in the span of the rows below b_i, and that
+        sum is already canonical: its first nonzero entry is b_i's pivot 1.
         """
         got = self._mask_cache.get(s)
         if got is not None:
             return got
-        F = self.F
-        m = 0
-        for combo in enumerate_points(s.k, self.q) if s.k else []:
-            vec = [0] * self.n
-            for c, row in zip(combo, s.basis):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            vec[j] = F.add(vec[j], F.mul(c, x))
-            m |= 1 << self.index[tuple(vec)]
-        self._mask_cache[s] = m
+        F, index, top = self.F, self.index, len(self.points) - 1
+        buf = bytearray(b"0" * (top + 1))  # buf[top - j] is point j's bit
+        for i, row in enumerate(s.basis):
+            layer = [row]
+            for below in s.basis[i + 1 :]:
+                layer += [F.axpy(c, below, u) for c in range(1, self.q) for u in layer]
+            for u in layer:
+                buf[top - index[tuple(u)]] = 49  # ord("1")
+        m = self._mask_cache[s] = int(buf, 2)
         return m
 
     def point_mask(self, p: tuple[int, ...]) -> int:
@@ -325,8 +330,5 @@ def geometry(n: int, q: int) -> Geometry:
     """Shared Geometry of PG(n-1, q).  Raises TooLarge, before enumerating
     anything, when the point count exceeds DEFAULT_POINT_CAP or the value of
     the environment variable QSEARCH_POINT_CAP."""
-    count = gaussian_binomial(n, 1, q)
-    cap = int(os.environ.get("QSEARCH_POINT_CAP") or DEFAULT_POINT_CAP)
-    if count > cap:
-        raise TooLarge(f"{count} points exceeds the cap of {cap}")
+    point_count(n, q, int(os.environ.get("QSEARCH_POINT_CAP") or DEFAULT_POINT_CAP))
     return _geometry(n, q)

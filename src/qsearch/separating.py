@@ -25,6 +25,7 @@ from .projspace import (
     WrongDimension,
     gaussian_binomial,
     geometry,
+    point_count,
 )
 
 
@@ -322,9 +323,7 @@ def brute_force_minimum(
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     if max_size > BRUTE_SIZE_CAP:
         raise TooLarge(f"size cap is {BRUTE_SIZE_CAP}, asked for {max_size}")
-    npoints = gaussian_binomial(n, 1, q)
-    if npoints > BRUTE_POINT_CAP:
-        raise TooLarge(f"{npoints} points exceeds the cap of {BRUTE_POINT_CAP}")
+    npoints = point_count(n, q, BRUTE_POINT_CAP)
     geom = geometry(n, q)
     if restrict_to_hyperplanes:
         universe = list(geom.subspaces(n - 1))

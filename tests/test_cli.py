@@ -4,9 +4,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qsearch
 from qsearch.cli import main
+from qsearch.gf import PRIMALITY_BOUND
 
 SCHEMA = json.loads(
     (Path(qsearch.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -257,6 +260,10 @@ def test_verify_missing_file(capsys):
         (("oracle", "brute-min", "--n", "3", "--q", "2", "--max", "-1"), "max_size must be >= 0"),
         (("oracle", "claim-count", "--n", "12", "--q", "3"), "cap of 2000000"),
         (("verify", "huge-q.txt"), "field order 1000000000000000003 above the configured cap"),
+        (("adaptive", "--n", "100000", "--q", "3", "--strategy", "inductive",
+          "--oracle", "fixed:all"), "cap of 1000000"),
+        (("construct", "--n", "3000000", "--q", "3", "--method", "explicit"),
+         "cap of 1000000"),
     ],
 )
 def test_oversized_or_out_of_range_input_is_one_line_error(
@@ -291,3 +298,98 @@ def test_bounds_for_a_large_prime_order(capsys):
     code, rep = run_json(capsys, "bounds", "--n", "3", "--q", "1000000007")
     assert code == 0
     assert rep["adaptive_upper"]["exact"] == "2000000013"
+
+
+@pytest.mark.parametrize(
+    "q,code,message",
+    [
+        (10**18 + 3, 0, ""),
+        (PRIMALITY_BOUND, 2, f"error: primality is decided only below {PRIMALITY_BOUND}\n"),
+    ],
+)
+def test_bounds_near_the_primality_bound(capsys, q, code, message):
+    start = time.monotonic()
+    got, out, err = run(capsys, "bounds", "--n", "3", "--q", str(q))
+    assert time.monotonic() - start < 10
+    assert (got, err) == (code, message)
+
+
+# argv pieces for the fuzz test: every (n, q) in range is small enough to
+# run in well under a second; the rest are zero, negative, non-prime-power,
+# oversized or garbage values
+_GARBAGE = ["-1", "0", "1", "1000", "x", "2.5", ""]
+_INTS = st.sampled_from(["2", "3", "4", "6", "12", "1000000000000000003"] + _GARBAGE)
+_DIMS = st.sampled_from(["2", "3"] + _GARBAGE)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_LITERAL = st.builds(
+    "q={} n={} k={} basis={}".format, _INTS, _INTS, _INTS, _JSON.map(json.dumps)
+)
+_QUERY_FILE = st.builds(
+    lambda head, body: "\n".join([head, *body]) + "\n",
+    st.builds("{} {} {}".format, _INTS, _INTS, _INTS) | st.text(max_size=8),
+    st.lists(_LITERAL | st.text(max_size=12), max_size=4),
+)
+_TRANSCRIPT = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.integers(-1, 4),
+        "q": st.sampled_from([-1, 0, 2, 3, 4, 6, 10**18 + 3]),
+        "searcher": st.sampled_from(
+            ["plane", "inductive", "two-round", "random-lines:2", "x"]
+        ),
+        "oracle": st.sampled_from(["adversary", "fixed:1,0,0", "fixed:a", "fixed:all"]),
+        "entries": _JSON,
+        "outcome": _JSON,
+        "count": st.integers(-1, 9) | st.text(max_size=2),
+    },
+).map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=12)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_NQ = st.tuples(_opt("--n", _DIMS), _opt("--q", _INTS)).map(lambda t: t[0] + t[1])
+_STRATEGIES = st.sampled_from(
+    ["plane", "inductive", "two-round", "random-lines:3", "random-lines:x", "nonsense"]
+)
+_ORACLES = st.sampled_from(
+    ["fixed:all", "adversary", "fixed:1,0,0", "fixed:1,2", "fixed:-1,0,0", "fixed:", "x"]
+)
+_FILES = ("system.txt", "game.json", "saved.json", "out.txt")
+_ARGV = st.one_of(
+    st.tuples(st.just(["adaptive"]), _NQ, _opt("--strategy", _STRATEGIES),
+              _opt("--oracle", _ORACLES), _opt("--save", st.just("saved.json"))),
+    st.tuples(st.just(["construct"]), _NQ,
+              _opt("--method", st.sampled_from(["explicit", "random", "x"])),
+              _opt("--seed", _INTS), _opt("--out", st.just("out.txt"))),
+    st.tuples(st.just(["verify", "system.txt"])),
+    st.tuples(st.just(["bounds"]), _NQ, st.sampled_from([[], ["--csv"], ["--json"]])),
+    st.tuples(st.just(["oracle", "claim-count"]), _NQ),
+    st.tuples(st.just(["oracle", "brute-min"]), _NQ, _opt("--max", _INTS),
+              st.sampled_from([[], ["--all-dims"]])),
+    st.tuples(st.just(["replay", "game.json"])),
+    st.lists(st.sampled_from(["adaptive", "oracle", "--n", "3", "-x", ""]), max_size=3)
+    .map(lambda a: (a,)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV, system=_QUERY_FILE, game=_TRANSCRIPT)
+def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(
+    capsys, tmp_path, argv, system, game
+):
+    (tmp_path / "system.txt").write_text(system)
+    (tmp_path / "game.json").write_text(game)
+    argv = [str(tmp_path / a) if a in _FILES else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -163,6 +164,12 @@ def test_parse_rejects_garbage():
         Subspace.parse("not a subspace at all")
 
 
+@pytest.mark.parametrize("basis", ["[1]", '[["a",0,0]]', "[[1.5,0,0]]"])
+def test_parse_rejects_rows_that_are_not_int_lists(basis):
+    with pytest.raises(ValueError, match="is not a list of integers"):
+        Subspace.parse(f"q=3 n=3 k=1 basis={basis}")
+
+
 def test_hyperplanes_through_point_in_plane():
     p = Subspace.span(3, 3, [(1, 2, 0)])
     pencil = geometry(3, 3).pencil(p)
@@ -283,3 +290,26 @@ def test_geometry_point_dim_masks():
 
 def test_geometry_cache():
     assert geometry(3, 2) is geometry(3, 2)
+
+
+def _mask_by_contains(geom, s):
+    return sum(1 << i for i, p in enumerate(geom.points) if s.contains(p))
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 4), (3, 9), (4, 3), (5, 2)])
+def test_mask_matches_contains_for_every_subspace(n, q):
+    geom = geometry(n, q)
+    for k in range(n + 1):
+        for s in enumerate_subspaces(n, q, k):
+            assert geom.mask(s) == _mask_by_contains(geom, s), s
+
+
+@pytest.mark.parametrize("n,q", [(5, 9), (6, 7)])
+def test_mask_matches_contains_for_random_subspaces(n, q):
+    rng = random.Random(f"mask:{n}:{q}")
+    geom = geometry(n, q)
+    for k in range(1, n):
+        s = Subspace(q, n, ())
+        while s.k < k:
+            s = Subspace.span(q, n, s.basis + (tuple(rng.randrange(q) for _ in range(n)),))
+        assert geom.mask(s) == _mask_by_contains(geom, s), s

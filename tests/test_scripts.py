@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qsearch.gf import PRIMALITY_BOUND
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,12 +41,23 @@ def test_bounds_script_tiny_grid():
     assert len(rows) > 1 and all(row.startswith("3,2,") for row in rows[1:])
 
 
+def test_bounds_script_skips_an_order_beyond_the_primality_test():
+    got = run_script("bounds_table.py", "--n", "3", "--q", "2", str(PRIMALITY_BOUND))
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == (
+        f"skipping q={PRIMALITY_BOUND}: primality is decided only below {PRIMALITY_BOUND}\n"
+    )
+    assert len(got.stdout.splitlines()) > 1
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
         (("--seeds", "0"), "--seeds must be at least 1, got 0"),
         (("--q", "6"), "q=6 is not a prime power"),
         (("--q", "3", "1031"), "q=1031: 1063993 points exceeds the cap of 1000000"),
+        (("--q", str(PRIMALITY_BOUND)),
+         f"q={PRIMALITY_BOUND}: primality is decided only below {PRIMALITY_BOUND}"),
     ],
 )
 def test_adversary_script_rejects_bad_grid(args, message):
