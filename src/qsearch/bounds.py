@@ -219,8 +219,8 @@ def write_bounds_csv(stream, reports) -> None:
 
 def bounds_report(n: int, q: int) -> BoundsReport:
     adaptive_low, adaptive_up = adaptive_bounds(n, q)
-    kat = katona_lower(n, q)
     non = nonadaptive_bounds(n, q)
+    kat = non.katona
     if q == 2:
         low_tv = _exact(n, "info-theoretic")
     else:

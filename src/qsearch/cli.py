@@ -67,13 +67,13 @@ def _cmd_adaptive(args) -> int:
         "oracle": args.oracle,
         "bound": bound,
     }
+    if args.oracle == "fixed:all" and args.save:
+        raise ValueError("--save records a single game, not a sweep")
+    s = searcher_from_name(args.strategy, n, q)  # searchers are pure: one serves all
     if args.oracle == "fixed:all":
-        if args.save:
-            raise ValueError("--save records a single game, not a sweep")
         counts = []
         failures = 0
         for point in geom.points:
-            s = searcher_from_name(args.strategy, n, q)
             t = run_game(s, FixedOracle(q, point), n, q)
             counts.append(t.count)
             if t.identified != point or t.count > bound:
@@ -86,19 +86,14 @@ def _cmd_adaptive(args) -> int:
             failures=failures,
             ok=ok,
         )
-    elif args.oracle == "adversary":
-        s = searcher_from_name(args.strategy, n, q)
-        o = oracle_from_name("adversary", n, q)
-        t = run_game(s, o, n, q)
-        threshold = 2 * q - 1
-        ok = t.identified is not None and t.count >= threshold
-        report.update(count=t.count, threshold=threshold, outcome=t.outcome, ok=ok)
-        _save_transcript(args.save, t)
     else:
-        s = searcher_from_name(args.strategy, n, q)
         o = oracle_from_name(args.oracle, n, q)
         t = run_game(s, o, n, q)
-        ok = t.identified == o.point and t.count <= bound
+        if args.oracle == "adversary":
+            report["threshold"] = threshold = 2 * q - 1
+            ok = t.identified is not None and t.count >= threshold
+        else:
+            ok = t.identified == o.point and t.count <= bound
         report.update(count=t.count, outcome=t.outcome, ok=ok)
         _save_transcript(args.save, t)
     _emit(report)

@@ -8,7 +8,8 @@ rewrites point queries into hyperplane queries in dimension 3, and finds
 exact minima by exhaustive search on small instances.
 
 Every separation question reads one table, `signatures`: each point's
-answer vector as an int whose bit j answers query j.
+answer vector as an int whose bit j answers query j.  The pencil count
+behind `oracle claim-count` reads one such table per pencil.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from .gf import field
 from .projspace import (
     DimensionMismatch,
     Subspace,
@@ -25,6 +27,7 @@ from .projspace import (
     WrongDimension,
     gaussian_binomial,
     geometry,
+    normalize,
     point_count,
 )
 
@@ -85,6 +88,7 @@ class QuerySet:
         if len(head) != 3:
             raise ValueError(f"bad header {text[0]!r}, expected 'q n count'")
         q, n, count = (int(x) for x in head)
+        field(q)  # the order must name a field even when no query follows
         body = [ln for ln in text[1:] if ln.strip()]
         if len(body) != count:
             raise ValueError(f"header promises {count} queries, found {len(body)}")
@@ -219,22 +223,23 @@ def unseparated_pencil_count(n: int, q: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _pencil_signatures(n: int, q: int) -> list[list[int]]:
+    """The signature table of the pencil through each (n-2)-subspace."""
+    geom = geometry(n, q)
+    pencils = (QuerySet(q, n, tuple(geom.pencil(s))) for s in geom.subspaces(n - 2))
+    return [signatures(qs) for qs in pencils]
+
+
 def count_unseparated_bruteforce(
     n: int, q: int, u: tuple[int, ...], v: tuple[int, ...]
 ) -> int:
-    """Direct count behind unseparated_pencil_count, one pair at a time."""
+    """Brute-force unseparated_pencil_count: pencils giving u and v equal signatures."""
     geom = geometry(n, q)
-    mu = geom.point_mask(u)
-    mv = geom.point_mask(v)
-    if mu == mv:
+    i, j = (geom.index[normalize(q, p)] for p in (u, v))
+    if i == j:
         raise ValueError("points must be distinct")
-    count = 0
-    for s in geom.subspaces(n - 2):
-        if all(
-            bool(geom.mask(h) & mu) == bool(geom.mask(h) & mv) for h in geom.pencil(s)
-        ):
-            count += 1
-    return count
+    return sum(t[i] == t[j] for t in _pencil_signatures(n, q))
 
 
 # ---------------------------------------------------------------------------

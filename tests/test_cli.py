@@ -199,6 +199,15 @@ def test_oracle_claim_count(capsys):
     assert rep["first_mismatch"] is None
 
 
+def test_oracle_claim_count_at_q11_is_quick(capsys):
+    # 8,778 pairs times 133 pencils: only tables built once per (n, q) fit
+    start = time.monotonic()
+    code, rep = run_json(capsys, "oracle", "claim-count", "--n", "3", "--q", "11")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert (rep["formula"], rep["pairs"], rep["first_mismatch"]) == (10, 8778, None)
+
+
 def test_oracle_brute_min(capsys):
     code, rep = run_json(capsys, "oracle", "brute-min", "--n", "3", "--q", "2")
     assert code == 0

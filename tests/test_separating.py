@@ -88,6 +88,14 @@ def test_load_header_mismatch(tmp_path):
         QuerySet.load(path)
 
 
+@pytest.mark.parametrize("order", ["1", "0", "6", "2048"])
+def test_load_rejects_a_header_order_that_names_no_field(tmp_path, order):
+    path = tmp_path / "empty.txt"
+    path.write_text(f"{order} 2 0\n")
+    with pytest.raises(ValueError):
+        QuerySet.load(path)
+
+
 def test_coordinate_hyperplane():
     h = coordinate_hyperplane(3, 4, 1)
     assert h.k == 3
@@ -171,6 +179,7 @@ def test_count_unseparated_matches_formula_spot():
     for n, q, u, v in [
         (3, 3, (0, 0, 1), (0, 1, 0)),
         (3, 3, (1, 2, 2), (0, 0, 1)),
+        (3, 3, (0, 0, 2), (0, 2, 0)),
         (4, 2, (0, 0, 0, 1), (1, 1, 1, 1)),
     ]:
         assert count_unseparated_bruteforce(n, q, u, v) == unseparated_pencil_count(
@@ -181,6 +190,30 @@ def test_count_unseparated_matches_formula_spot():
 def test_count_unseparated_rejects_equal_points():
     with pytest.raises(ValueError):
         count_unseparated_bruteforce(3, 3, (0, 0, 1), (0, 0, 1))
+    with pytest.raises(ValueError):
+        count_unseparated_bruteforce(3, 3, (0, 0, 1), (0, 0, 2))
+
+
+def _unseparated_by_masks(n, q, u, v):
+    """Reference count that does not use `signatures`: compare the two point
+    masks against every member of every pencil."""
+    geom = geometry(n, q)
+    mu, mv = geom.point_mask(u), geom.point_mask(v)
+    return sum(
+        all(bool(geom.mask(h) & mu) == bool(geom.mask(h) & mv) for h in geom.pencil(s))
+        for s in geom.subspaces(n - 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)]
+)
+def test_count_unseparated_matches_mask_oracle_on_every_pair(n, q):
+    points = geometry(n, q).points
+    for a, u in enumerate(points):
+        for v in points[a + 1 :]:
+            got = count_unseparated_bruteforce(n, q, u, v)
+            assert got == _unseparated_by_masks(n, q, u, v), (u, v)
 
 
 def test_minimal_subsystem():
