@@ -20,12 +20,12 @@ from pathlib import Path
 
 from .bounds import adaptive_bounds, bounds_report, nonadaptive_bounds, write_bounds_csv
 from .game import (
-    FixedOracle,
     Transcript,
     oracle_from_name,
     replay,
     run_game,
     searcher_from_name,
+    sweep,
 )
 from .gf import NotAPrimePower, is_prime_power
 from .projspace import TooLarge, gaussian_binomial, geometry, point_count
@@ -57,7 +57,7 @@ def _save_transcript(path: str | None, t: Transcript) -> None:
 
 def _cmd_adaptive(args) -> int:
     n, q = args.n, args.q
-    geom = geometry(n, q)  # the point cap comes before any other work
+    geometry(n, q)  # the point cap comes before any other work
     bound = adaptive_bounds(n, q)[1]
     report = {
         "command": "adaptive",
@@ -71,13 +71,9 @@ def _cmd_adaptive(args) -> int:
         raise ValueError("--save records a single game, not a sweep")
     s = searcher_from_name(args.strategy, n, q)  # searchers are pure: one serves all
     if args.oracle == "fixed:all":
-        counts = []
-        failures = 0
-        for point in geom.points:
-            t = run_game(s, FixedOracle(q, point), n, q)
-            counts.append(t.count)
-            if t.identified != point or t.count > bound:
-                failures += 1
+        games = sweep(s, n, q)
+        counts = [count for _, count, _ in games]
+        failures = sum(1 for _, count, found in games if not found or count > bound)
         ok = failures == 0
         report.update(
             games=len(counts),

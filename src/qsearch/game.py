@@ -3,8 +3,10 @@
 A searcher asks subspace membership queries ("is the hidden line inside
 this subspace?"); an oracle answers yes or no, optionally volunteering a
 side constraint of the form "the hidden line is (not) inside L".  The game
-runner tracks the set of points still consistent with all answers and
-referees the final announcement.
+runner `run_game` tracks the set of points still consistent with all
+answers and referees the final announcement.  `sweep` plays a searcher
+against every hidden point at once by walking its YES/NO answer tree, with
+the same referee rules.
 
 Searchers are stateless: decide() recomputes the whole plan from the
 recorded history, so any finished game can be replayed bit for bit from
@@ -13,6 +15,7 @@ its transcript.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -48,6 +51,10 @@ class InternalInconsistency(RuntimeError):
 class Answer:
     yes: bool
     volunteered: tuple[str, Subspace] | None = None  # ("in-line"|"not-in-line", L)
+
+
+# the two bare verdicts, shared: answers are frozen values
+NO, YES = Answer(False), Answer(True)
 
 
 @dataclass(frozen=True)
@@ -126,6 +133,29 @@ class Transcript:
         return tuple(got) if got is not None else None
 
 
+def _rule(geom: Geometry, decision, cand: int, asked: int, limit: int):
+    """Referee one decision of a searcher that has asked `asked` queries and
+    left the candidates `cand`: ("identified", point) for a sound
+    announcement, ("ask", query) for a legal query within the limit, or
+    ("aborted", None) once the limit is spent."""
+    kind, payload = decision
+    if kind == "announce":
+        p = normalize(geom.q, payload)
+        if cand.bit_count() != 1 or geom.point_mask(p) != cand:
+            raise BadAnnounce(f"announced {p} with {cand.bit_count()} consistent points")
+        return ("identified", p)
+    qry: Subspace = payload
+    if (qry.q, qry.n) != (geom.q, geom.n):
+        raise DimensionMismatch(
+            f"query over GF({qry.q})^{qry.n} in a GF({geom.q})^{geom.n} game"
+        )
+    if not 1 <= qry.k <= geom.n - 1:
+        raise WrongDimension(f"query dimension {qry.k} outside [1, {geom.n - 1}]")
+    if asked >= limit:
+        return ("aborted", None)
+    return ("ask", qry)
+
+
 def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Transcript:
     """Referee one game.  Announcing costs nothing; each query spends one
     unit of the limit, which defaults to the number of points (asking every
@@ -136,34 +166,21 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
     cand = geom.full_mask
     history: list[tuple[Subspace, Answer]] = []
     entries: list[dict] = []
-    outcome: dict | None = None
-    while outcome is None:
+    while True:
         view = GameView(n, q, geom, tuple(history), cand)
-        kind, payload = searcher.decide(view)
-        if kind == "announce":
-            p = normalize(q, payload)
-            if cand.bit_count() != 1 or geom.point_mask(p) != cand:
-                raise BadAnnounce(
-                    f"announced {p} with {cand.bit_count()} consistent points"
-                )
-            outcome = {"identified": list(p)}
+        kind, got = _rule(geom, searcher.decide(view), cand, len(history), limit)
+        if kind == "identified":
+            outcome = {"identified": list(got)}
             break
-        qry: Subspace = payload
-        if (qry.q, qry.n) != (q, n):
-            raise DimensionMismatch(
-                f"query over GF({qry.q})^{qry.n} in a GF({q})^{n} game"
-            )
-        if not 1 <= qry.k <= n - 1:
-            raise WrongDimension(f"query dimension {qry.k} outside [1, {n - 1}]")
-        if len(history) >= limit:
+        if kind == "aborted":
             outcome = {"aborted": "query-limit"}
             break
-        ans = oracle.answer(qry, tuple(history))
-        cand = _narrow(geom, cand, qry, ans)
+        ans = oracle.answer(got, view.history)
+        cand = _narrow(geom, cand, got, ans)
         if cand == 0:
-            raise InconsistentOracle(f"no point is consistent after {qry.literal()}")
-        history.append((qry, ans))
-        entry = {"query": qry.literal(), "verdict": "YES" if ans.yes else "NO"}
+            raise InconsistentOracle(f"no point is consistent after {got.literal()}")
+        history.append((got, ans))
+        entry = {"query": got.literal(), "verdict": "YES" if ans.yes else "NO"}
         if ans.volunteered is not None:
             entry["volunteered"] = {
                 "kind": ans.volunteered[0],
@@ -179,6 +196,45 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
         outcome=outcome,
         count=len(history),
     )
+
+
+def sweep(searcher, n: int, q: int, limit: int | None = None) -> list[tuple]:
+    """Every game of the searcher against a truthful oracle at once:
+    (point, count, identified) for each point, in geom.points order, with
+    the same counts and outcomes as one run_game per point.
+
+    The walk visits each node of the searcher's YES/NO answer tree once,
+    so decide runs once per distinct answer prefix; an empty branch is no
+    game and is pruned.  The walk is iterative, since games can be as deep
+    as there are points: pending nodes wait in a heap keyed by their lowest
+    candidate index.  Pending nodes are disjoint, so keys never tie, and a
+    child's key is never below its parent's, so nodes are visited in the
+    order the per-point games first reach them: the first node that raises
+    raises the error those games would meet first."""
+    geom = geometry(n, q)
+    if limit is None:
+        limit = gaussian_binomial(n, 1, q)
+    out: list = [None] * len(geom.points)
+    pending = [(0, (), geom.full_mask)]  # (lowest candidate, history, candidates)
+    while pending:
+        low, history, cand = heapq.heappop(pending)
+        view = GameView(n, q, geom, history, cand)
+        kind, got = _rule(geom, searcher.decide(view), cand, len(history), limit)
+        if kind == "ask":
+            m = geom.mask(got)
+            for ans, sub in ((NO, cand & ~m), (YES, cand & m)):
+                if sub:
+                    key = (sub & -sub).bit_length() - 1
+                    heapq.heappush(pending, (key, history + ((got, ans),), sub))
+        elif kind == "identified":
+            out[low] = (geom.points[low], len(history), True)
+        else:  # aborted: every candidate's game stops here
+            bits = bin(cand)[:1:-1]  # bits[i] is point i's membership
+            i = bits.find("1")
+            while i >= 0:
+                out[i] = (geom.points[i], len(history), False)
+                i = bits.find("1", i + 1)
+    return out
 
 
 def _narrow(geom: Geometry, cand: int, query: Subspace, ans: Answer) -> int:
@@ -301,11 +357,10 @@ class TwoRoundSearcher:
         if q == 2 or len(nz) <= 1:
             return ("announce", tuple(1 if i in nz else 0 for i in range(n)))
         c = nz[0]
-        script = [(j, lam) for j in nz[1:] for lam in range(1, q - 1)]
-        idx = len(hist) - n
-        if idx < len(script):
-            j, lam = script[idx]
-            return ("ask", ratio_hyperplane(q, n, c, j, lam))
+        # the script asks v_j = lam * v_c for each later j, lam = 1..q-2
+        pos, lam = divmod(len(hist) - n, q - 2)
+        if pos < len(nz) - 1:
+            return ("ask", ratio_hyperplane(q, n, c, nz[1 + pos], lam + 1))
         vec = [0] * n
         vec[c] = 1
         for pos, j in enumerate(nz[1:]):
@@ -340,15 +395,20 @@ class RandomLineSearcher:
 
 
 class FixedOracle:
-    """Truthful oracle for a concrete hidden point."""
+    """Truthful oracle for a concrete hidden point: each answer is the
+    point's bit in the query's cached mask."""
 
     def __init__(self, q: int, point):
         self.q = q
         self.point = normalize(q, point)
         self.name = "fixed:" + ",".join(str(c) for c in self.point)
+        self.geom = geometry(len(self.point), q)
+        self.bit = self.geom.index[self.point]
 
     def answer(self, query: Subspace, history) -> Answer:
-        return Answer(yes=query.contains(self.point))
+        if (query.q, query.n) != (self.q, self.geom.n):
+            raise DimensionMismatch(f"fixed oracle plays GF({self.q})^{self.geom.n} only")
+        return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
 def _completions(geom: Geometry, lines) -> list[Subspace]:

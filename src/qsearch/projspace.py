@@ -172,10 +172,22 @@ class Subspace:
                 v = F.axpy(F.neg(v[pc]), row, v)
         return not any(v)
 
+    def __hash__(self) -> int:
+        # the value dataclass would compute, cached: subspaces are frozen,
+        # and hot paths hash the same ones again and again
+        got = self.__dict__.get("_hash")
+        if got is None:
+            got = self.__dict__["_hash"] = hash((self.q, self.n, self.basis))
+        return got
+
     def literal(self) -> str:
         """One-line text form, parseable by Subspace.parse."""
-        basis = json.dumps([list(r) for r in self.basis], separators=(",", ","))
-        return f"q={self.q} n={self.n} k={self.k} basis={basis}"
+        got = self.__dict__.get("_literal")
+        if got is None:
+            basis = json.dumps([list(r) for r in self.basis], separators=(",", ","))
+            got = f"q={self.q} n={self.n} k={self.k} basis={basis}"
+            self.__dict__["_literal"] = got
+        return got
 
     _LITERAL = re.compile(r"^q=(\d+) n=(\d+) k=(\d+) basis=(\[.*\])$")
 

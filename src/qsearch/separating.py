@@ -89,6 +89,8 @@ class QuerySet:
             raise ValueError(f"bad header {text[0]!r}, expected 'q n count'")
         q, n, count = (int(x) for x in head)
         field(q)  # the order must name a field even when no query follows
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n={n}")
         body = [ln for ln in text[1:] if ln.strip()]
         if len(body) != count:
             raise ValueError(f"header promises {count} queries, found {len(body)}")
@@ -133,6 +135,7 @@ def is_separating(qs: QuerySet) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
     """The hyperplane v_i = 0, spanned by the other standard vectors."""
     units = Subspace.full(q, n).basis

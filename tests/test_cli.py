@@ -47,6 +47,24 @@ def test_adaptive_sweep(capsys):
     assert rep["ok"] is True
 
 
+def test_adaptive_sweep_walks_a_deep_answer_tree(capsys):
+    # random lines at (2, 1021) play games 1,021 queries deep; the frozen
+    # figures are those of one refereed game per point
+    start = time.monotonic()
+    code, rep = run_json(
+        capsys,
+        "adaptive", "--n", "2", "--q", "1021", "--strategy", "random-lines:1",
+        "--oracle", "fixed:all",
+    )
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert rep["games"] == 1022
+    assert rep["max_count"] == 1021
+    assert rep["mean_count"] == 511.4990215264188
+    assert rep["failures"] == 0
+    assert rep["ok"] is True
+
+
 def test_adaptive_single_fixed(capsys):
     code, rep = run_json(
         capsys,
@@ -245,6 +263,16 @@ def test_oracle_brute_min_too_large(capsys):
 def test_usage_and_validation_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_verify_rejects_a_header_dimension_below_two(capsys, tmp_path, n):
+    path = tmp_path / "empty.txt"
+    path.write_text(f"3 {n} 0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need n >= 2, got n={n}\n"
 
 
 def test_verify_missing_file(capsys):

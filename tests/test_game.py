@@ -17,12 +17,13 @@ from qsearch.game import (
     Transcript,
     TwoRoundSearcher,
     _completions,
-    _narrow,
     oracle_from_name,
     replay,
     run_game,
     searcher_from_name,
+    sweep,
 )
+from qsearch.separating import coordinate_hyperplane
 
 
 def sweep_max(searcher_name: str, n: int, q: int) -> int:
@@ -98,33 +99,94 @@ PURITY_CASES = [
 
 @pytest.mark.parametrize("name,n,q", PURITY_CASES)
 def test_searchers_are_pure_over_the_answer_tree(name, n, q):
-    # one instance walks every consistent YES/NO branch depth-first, so
-    # after each backtrack its next history does not extend the last one
-    geom = geometry(n, q)
+    # the sweep walks every consistent YES/NO branch with one instance, so
+    # after each backtrack its next history does not extend the last one;
+    # a fresh instance must decide the same at every node
     searcher = searcher_from_name(name, n, q)
-    leaves, depths = [], []
 
-    def walk(history, cand):
-        view = GameView(n, q, geom, history, cand)
-        kind, payload = searcher.decide(view)
-        assert (kind, payload) == searcher_from_name(name, n, q).decide(view)
-        if kind == "announce":
-            assert geom.point_mask(payload) == cand
-            leaves.append(geom.lowest_point(cand))
-            depths.append(len(history))
-            return
-        for yes in (True, False):
-            ans = Answer(yes)
-            sub = _narrow(geom, cand, payload, ans)
-            if sub:
-                walk(history + ((payload, ans),), sub)
+    class Checked:
+        def decide(self, view):
+            got = searcher.decide(view)
+            assert got == searcher_from_name(name, n, q).decide(view)
+            return got
 
-    walk((), geom.full_mask)
-    assert sorted(leaves) == sorted(geom.points)
+    games = sweep(Checked(), n, q)
+    assert [p for p, _, _ in games] == geometry(n, q).points
+    assert all(found for _, _, found in games)
     descent = (q - 1) * (n - 1) + 1
     bound = {"plane": 2 * q - 1, "inductive": descent, "two-round": descent}
     # random lines stop once every hyperplane is asked: one per point
-    assert max(depths) <= bound.get(name, len(geom.points))
+    assert max(c for _, c, _ in games) <= bound.get(name, len(games))
+
+
+def per_point_games(searcher, n, q, limit=None):
+    """The sweep's oracle: one refereed game per hidden point."""
+    out = []
+    for p in geometry(n, q).points:
+        t = run_game(searcher, FixedOracle(q, p), n, q, limit)
+        out.append((p, t.count, t.identified == p))
+    return out
+
+
+SWEEP_CASES = (
+    [
+        (name, n, q, None)
+        for name in ("inductive", "two-round")
+        for n in range(2, 6)
+        for q in (2, 3, 4, 5, 7, 9)
+        if (q**n - 1) // (q - 1) <= 10**4  # the grid of acceptance criterion 3
+    ]
+    + [("plane", 3, q, None) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [
+        (f"random-lines:{seed}", n, q, None)
+        for seed in range(3)
+        for n, q in ((3, 3), (3, 4), (4, 2))
+    ]
+    # limits below the deepest game abort some games and not others
+    + [("inductive", 3, 3, 3), ("two-round", 4, 3, 5), ("random-lines:0", 3, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("name,n,q,limit", SWEEP_CASES)
+def test_sweep_matches_per_point_games(name, n, q, limit):
+    searcher = searcher_from_name(name, n, q)
+    games = sweep(searcher, n, q, limit)
+    assert games == per_point_games(searcher, n, q, limit)
+    if limit is not None:
+        assert {found for _, _, found in games} == {True, False}
+        assert max(c for _, c, _ in games) == limit
+
+
+class Misbehaving:
+    """Broken on purpose: asks z = 0, which leaves out point 0, then in each
+    branch either announces with candidates to spare or asks the whole
+    space, as moves[yes] says."""
+
+    name = "misbehaving"
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def decide(self, view):
+        if not view.history:
+            return ("ask", coordinate_hyperplane(view.q, view.n, view.n - 1))
+        if self.moves[view.history[0][1].yes] == "announce":
+            return ("announce", view.geom.lowest_point(view.candidates))
+        return ("ask", Subspace.full(view.q, view.n))
+
+
+@pytest.mark.parametrize(
+    "moves", [("announce", "announce"), ("announce", "full"), ("full", "announce")]
+)
+def test_sweep_raises_the_error_the_first_game_meets(moves):
+    # point 0 lies on the NO branch, so the per-point games meet the NO
+    # branch's error before the YES branch's
+    with pytest.raises((BadAnnounce, WrongDimension)) as first:
+        per_point_games(Misbehaving(moves), 3, 3)
+    with pytest.raises((BadAnnounce, WrongDimension)) as swept:
+        sweep(Misbehaving(moves), 3, 3)
+    assert type(swept.value) is type(first.value)
+    assert str(swept.value) == str(first.value)
 
 
 def test_inductive_point_context_with_open_candidates_is_inconsistent():
@@ -245,6 +307,14 @@ def test_fixed_oracle_normalizes():
     o = FixedOracle(3, (2, 1, 0))
     assert o.point == (1, 2, 0)
     assert o.name == "fixed:1,2,0"
+
+
+def test_fixed_oracle_answers_from_the_query_mask():
+    o = FixedOracle(3, (2, 1, 0))
+    for s in geometry(3, 3).subspaces(2):
+        assert o.answer(s, ()).yes == s.contains((1, 2, 0))
+    with pytest.raises(DimensionMismatch):
+        o.answer(Subspace.span(3, 4, [(1, 0, 0, 0)]), ())
 
 
 def test_registry_errors():

@@ -96,6 +96,15 @@ def test_load_rejects_a_header_order_that_names_no_field(tmp_path, order):
         QuerySet.load(path)
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_load_rejects_a_header_dimension_with_no_proper_subspace(tmp_path, n):
+    # with n <= 1 there is no query to ask, so "separating" would be vacuous
+    path = tmp_path / "empty.txt"
+    path.write_text(f"3 {n} 0\n")
+    with pytest.raises(ValueError, match=f"need n >= 2, got n={n}$"):
+        QuerySet.load(path)
+
+
 def test_coordinate_hyperplane():
     h = coordinate_hyperplane(3, 4, 1)
     assert h.k == 3
