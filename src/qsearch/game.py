@@ -198,10 +198,11 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
     )
 
 
-def sweep(searcher, n: int, q: int, limit: int | None = None) -> list[tuple]:
+def sweep(searcher, n: int, q: int) -> list[tuple]:
     """Every game of the searcher against a truthful oracle at once:
     (point, count, identified) for each point, in geom.points order, with
-    the same counts and outcomes as one run_game per point.
+    the same counts and outcomes as one run_game per point under its
+    default query limit, the number of points.
 
     The walk visits each node of the searcher's YES/NO answer tree once,
     so decide runs once per distinct answer prefix; an empty branch is no
@@ -212,9 +213,8 @@ def sweep(searcher, n: int, q: int, limit: int | None = None) -> list[tuple]:
     order the per-point games first reach them: the first node that raises
     raises the error those games would meet first."""
     geom = geometry(n, q)
-    if limit is None:
-        limit = gaussian_binomial(n, 1, q)
-    out: list = [None] * len(geom.points)
+    limit = len(geom.points)
+    out: list = [None] * limit
     pending = [(0, (), geom.full_mask)]  # (lowest candidate, history, candidates)
     while pending:
         low, history, cand = heapq.heappop(pending)
@@ -229,11 +229,10 @@ def sweep(searcher, n: int, q: int, limit: int | None = None) -> list[tuple]:
         elif kind == "identified":
             out[low] = (geom.points[low], len(history), True)
         else:  # aborted: every candidate's game stops here
-            bits = bin(cand)[:1:-1]  # bits[i] is point i's membership
-            i = bits.find("1")
-            while i >= 0:
+            while cand:
+                i = (cand & -cand).bit_length() - 1
                 out[i] = (geom.points[i], len(history), False)
-                i = bits.find("1", i + 1)
+                cand &= cand - 1
     return out
 
 

@@ -119,42 +119,62 @@ def test_searchers_are_pure_over_the_answer_tree(name, n, q):
     assert max(c for _, c, _ in games) <= bound.get(name, len(games))
 
 
-def per_point_games(searcher, n, q, limit=None):
+def per_point_games(searcher, n, q):
     """The sweep's oracle: one refereed game per hidden point."""
     out = []
     for p in geometry(n, q).points:
-        t = run_game(searcher, FixedOracle(q, p), n, q, limit)
+        t = run_game(searcher, FixedOracle(q, p), n, q)
         out.append((p, t.count, t.identified == p))
     return out
 
 
 SWEEP_CASES = (
     [
-        (name, n, q, None)
+        (name, n, q)
         for name in ("inductive", "two-round")
         for n in range(2, 6)
         for q in (2, 3, 4, 5, 7, 9)
         if (q**n - 1) // (q - 1) <= 10**4  # the grid of acceptance criterion 3
     ]
-    + [("plane", 3, q, None) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [("plane", 3, q) for q in (2, 3, 4, 5, 7, 8, 9)]
     + [
-        (f"random-lines:{seed}", n, q, None)
+        (f"random-lines:{seed}", n, q)
         for seed in range(3)
         for n, q in ((3, 3), (3, 4), (4, 2))
     ]
-    # limits below the deepest game abort some games and not others
-    + [("inductive", 3, 3, 3), ("two-round", 4, 3, 5), ("random-lines:0", 3, 3, 4)]
 )
 
 
-@pytest.mark.parametrize("name,n,q,limit", SWEEP_CASES)
-def test_sweep_matches_per_point_games(name, n, q, limit):
+@pytest.mark.parametrize("name,n,q", SWEEP_CASES)
+def test_sweep_matches_per_point_games(name, n, q):
     searcher = searcher_from_name(name, n, q)
-    games = sweep(searcher, n, q, limit)
-    assert games == per_point_games(searcher, n, q, limit)
-    if limit is not None:
-        assert {found for _, _, found in games} == {True, False}
-        assert max(c for _, c, _ in games) == limit
+    assert sweep(searcher, n, q) == per_point_games(searcher, n, q)
+
+
+class Stubborn:
+    """Wastes its queries on purpose: announces a lone candidate, and
+    otherwise asks z = 0 again, which splits nothing after the first time."""
+
+    name = "stubborn"
+
+    def decide(self, view):
+        if view.candidates.bit_count() == 1:
+            return ("announce", view.geom.lowest_point(view.candidates))
+        return ("ask", coordinate_hyperplane(view.q, view.n, view.n - 1))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 3)])
+def test_sweep_aborts_games_at_the_point_count(n, q):
+    games = sweep(Stubborn(), n, q)
+    assert games == per_point_games(Stubborn(), n, q)
+    points = len(geometry(n, q).points)
+    aborted = [c for _, c, found in games if not found]
+    assert aborted and set(aborted) == {points}
+    # over a line z = 0 is one point, identified after one query; in the
+    # plane it holds four, and every game aborts
+    assert {(c, found) for _, c, found in games if found} == (
+        {(1, True)} if n == 2 else set()
+    )
 
 
 class Misbehaving:
