@@ -402,7 +402,7 @@ class FixedOracle:
         self.point = normalize(q, point)
         self.name = "fixed:" + ",".join(str(c) for c in self.point)
         self.geom = geometry(len(self.point), q)
-        self.bit = self.geom.index[self.point]
+        self.bit = self.geom.rank(self.point)
 
     def answer(self, query: Subspace, history) -> Answer:
         if (query.q, query.n) != (self.q, self.geom.n):

@@ -6,10 +6,13 @@ coordinate is 1.  A k-dimensional linear subspace is stored as the tuple of
 rows of its reduced row echelon basis, which makes equal subspaces compare
 equal as values.
 
-`Geometry` indexes all points of a fixed (n, q) and represents point sets
+`Geometry` lists all points of a fixed (n, q) and represents point sets
 as int bitmasks, bit i standing for the i-th point in global lexicographic
-order.  Everything downstream that filters candidate lines works on these
-masks.
+order; a point's index is computed in closed form (`Geometry.rank`).
+Everything downstream that filters candidate lines works on these masks.
+A subspace's mask is the AND of the masks of the hyperplanes that cut it
+out, and a hyperplane's mask is built per lead block of points by a base-q
+digit recursion over its coefficients: there is no loop over points.
 """
 
 from __future__ import annotations
@@ -272,45 +275,124 @@ def enumerate_subspaces(n: int, q: int, k: int):
 # ---------------------------------------------------------------------------
 
 
+def _unit(t: int) -> str:
+    """The one-digit string of the empty sum: '1' when it equals t."""
+    return "0" if t else "1"
+
+
+def _one_slice(q: int, run: int):
+    """tail(t) when the slowest digit y_0 has the only nonzero coefficient,
+    1: of its q slices, run characters each, y_0 = t is all '1's."""
+
+    def base(t: int) -> str:
+        return "0" * (t * run) + "1" * run + "0" * ((q - 1 - t) * run)
+
+    return base
+
+
+def _join(F: GF, tails: list[str], neg_c: int):
+    """tail(t) for a nonzero coefficient c of the slowest digit y_0, given
+    the tails of the digits below: tails[t - c y_0] for y_0 = 0 to q - 1."""
+    ys = range(F.q)
+
+    def base(t: int) -> str:
+        return "".join([tails[u] for u in F.axpy(neg_c, ys, [t] * F.q)])
+
+    return base
+
+
 class Geometry:
-    """Point index for one (n, q); subsets of PG(n-1, q) as int bitmasks."""
+    """The points of one (n, q); subsets of PG(n-1, q) as int bitmasks."""
 
     def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
         self.F: GF = field(q)
         self.points: list[tuple[int, ...]] = list(enumerate_points(n, q))
-        self.index: dict[tuple[int, ...], int] = {
-            p: i for i, p in enumerate(self.points)
-        }
         self.full_mask: int = (1 << len(self.points)) - 1
         self._mask_cache: dict[Subspace, int] = {}
         self._pencil_cache: dict[Subspace, list[Subspace]] = {}
         self._subspace_cache: dict[int, list[Subspace]] = {}
 
+    def rank(self, p) -> int:
+        """Index of a canonical point in `points`, in closed form.  With m
+        coordinates after the leading 1, the point's lead block starts at
+        1 + q + ... + q^(m-1), and those coordinates are base-q digits, so
+        the index is those coordinates plus one each, read in base q.
+        KeyError for anything that is not a point of this geometry."""
+        try:
+            i = 0
+            for c in p[p.index(1) + 1 :]:
+                i = i * self.q + c + 1
+            if self.points[i] == p:  # rules out a wrong length, range or lead
+                return i
+        except (AttributeError, IndexError, TypeError, ValueError):
+            pass
+        raise KeyError(p)
+
     def mask(self, s: Subspace) -> int:
         """Bitmask of the projective points inside a subspace.
 
-        With the echelon basis b_0, ..., b_{k-1}, each point is b_i + v for
-        exactly one i and one v in the span of the rows below b_i, and that
-        sum is already canonical: its first nonzero entry is b_i's pivot 1.
+        It is the AND of the masks of the hyperplanes a.x = 0 that cut it
+        out, one for each non-pivot column f of the echelon basis: a_f = 1
+        and a_p = -basis[i][f] at the pivot p of each row i.  Neither step
+        loops over points (see `_hyperplane_mask`).
         """
         got = self._mask_cache.get(s)
         if got is not None:
             return got
-        F, index, top = self.F, self.index, len(self.points) - 1
-        buf = bytearray(b"0" * (top + 1))  # buf[top - j] is point j's bit
-        for i, row in enumerate(s.basis):
-            layer = [row]
-            for below in s.basis[i + 1 :]:
-                layer += [F.axpy(c, below, u) for c in range(1, self.q) for u in layer]
-            for u in layer:
-                buf[top - index[tuple(u)]] = 49  # ord("1")
-        m = self._mask_cache[s] = int(buf, 2)
+        if (s.q, s.n) != (self.q, self.n):
+            raise DimensionMismatch(
+                f"GF({s.q})^{s.n} subspace in PG({self.n - 1}, {self.q})"
+            )
+        F, pivots = self.F, s.pivots()
+        m = self.full_mask
+        for f in range(self.n):
+            if f not in pivots:
+                a = [0] * self.n
+                a[f] = 1
+                for pc, row in zip(pivots, s.basis):
+                    a[pc] = F.neg(row[f])
+                m &= self._hyperplane_mask(a)
+        self._mask_cache[s] = m
         return m
 
+    def _hyperplane_mask(self, a: list[int]) -> int:
+        """Bitmask of the hyperplane a.x = 0, with no loop over points.  The
+        last nonzero coefficient of a must be 1, as in the vectors `mask`
+        reads off an echelon basis.
+
+        Lead block l of `points` holds the points (0^l, 1, y), y in base-q
+        order with y_0 the slowest digit; such a point lies on the hyperplane
+        when a_{l+1} y_0 + a_{l+2} y_1 + ... = -a_l.  For every l at once,
+        tail(t) is the '0'/'1' string of the y with that sum equal to t.  It
+        is built one base-q digit at a time from the last coordinate up, as
+        base(t) repeated reps times:
+
+        - while every coefficient below is 0, base(t) is '1' for t = 0 and
+          '0' otherwise;
+        - the deepest nonzero coefficient, 1, makes the slice y_0 = t one
+          run of '1's;
+        - a zero coefficient repeats tail q times;
+        - any other coefficient c joins tail(t - c y_0) for y_0 = 0 to q - 1.
+        """
+        F, q = self.F, self.q
+        ys = range(q)
+        base, reps = _unit, 1
+        blocks = []
+        for lead in range(self.n - 1, -1, -1):
+            c = a[lead]
+            blocks.append(base(F.neg(c)) * reps)
+            if not c:
+                reps *= q
+            elif base is _unit:
+                base, reps = _one_slice(q, reps), 1
+            elif lead:  # lead block 0 is the last, and needs no tail
+                base, reps = _join(F, [base(t) * reps for t in ys], F.neg(c)), 1
+        return int("".join(blocks)[::-1], 2)
+
     def point_mask(self, p: tuple[int, ...]) -> int:
-        return 1 << self.index[normalize(self.q, p)]
+        return 1 << self.rank(normalize(self.q, p))
 
     def pencil(self, u: Subspace) -> list[Subspace]:
         """The q+1 hyperplanes containing a subspace of dimension n-2,

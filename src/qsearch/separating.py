@@ -98,18 +98,28 @@ class QuerySet:
         return QuerySet(q, n, queries, provenance="user")
 
 
+_BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def signatures(qs: QuerySet) -> list[int]:
     """Answer vector of every point, in geometry(n, q).points order: bit j
-    is set when the point lies in query j."""
+    is set when the point lies in query j.
+
+    The table is transposed in byte lanes: byte L of every signature holds
+    queries 8L to 8L + 7.  Each mask becomes one 0/1 byte per point, eight
+    of them are shifted into one lane, and the lane is written to every
+    signature's byte L by one strided slice assignment."""
     geom = geometry(qs.n, qs.q)
-    sigs = [0] * len(geom.points)
-    for j, s in enumerate(qs.queries):
-        bits = bin(geom.mask(s))[:1:-1]  # bits[i] is point i's membership
-        i = bits.find("1")
-        while i >= 0:
-            sigs[i] |= 1 << j
-            i = bits.find("1", i + 1)
-    return sigs
+    P, queries = len(geom.points), qs.queries
+    W = max(1, -(-len(queries) // 8))  # bytes per signature
+    buf = bytearray(P * W)
+    for L in range(W):
+        lane = 0
+        for b, s in enumerate(queries[8 * L : 8 * L + 8]):
+            bits = format(geom.mask(s), f"0{P}b").encode().translate(_BYTE_BITS)
+            lane |= int.from_bytes(bits, "big") << b  # byte i is point i's bit
+        buf[L::W] = lane.to_bytes(P, "little")
+    return [int.from_bytes(buf[i : i + W], "little") for i in range(0, P * W, W)]
 
 
 def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -239,7 +249,7 @@ def count_unseparated_bruteforce(
 ) -> int:
     """Brute-force unseparated_pencil_count: pencils giving u and v equal signatures."""
     geom = geometry(n, q)
-    i, j = (geom.index[normalize(q, p)] for p in (u, v))
+    i, j = (geom.rank(normalize(q, p)) for p in (u, v))
     if i == j:
         raise ValueError("points must be distinct")
     return sum(t[i] == t[j] for t in _pencil_signatures(n, q))
@@ -288,7 +298,7 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
             break
         p = queries[idx].basis[0]
         sigs = signatures(QuerySet(qs.q, 3, tuple(queries[:idx] + queries[idx + 1 :])))
-        mine = sigs[geom.index[p]]
+        mine = sigs[geom.rank(p)]
         partners = [x for x, s in zip(geom.points, sigs) if x != p and s == mine]
         if len(partners) > 1:
             raise UniquenessViolation(

@@ -226,6 +226,18 @@ def test_oracle_claim_count_at_q11_is_quick(capsys):
     assert (rep["formula"], rep["pairs"], rep["first_mismatch"]) == (10, 8778, None)
 
 
+def test_construct_near_the_point_cap_is_quick(capsys):
+    # 97,656 points: masks built with a loop over points take about 8 s
+    start = time.monotonic()
+    code, rep = run_json(
+        capsys, "construct", "--n", "8", "--q", "5", "--method", "explicit"
+    )
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert rep["separating"] is True
+    assert rep["size"] == 92
+
+
 def test_oracle_brute_min(capsys):
     code, rep = run_json(capsys, "oracle", "brute-min", "--n", "3", "--q", "2")
     assert code == 0

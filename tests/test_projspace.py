@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qsearch.gf import field
 from qsearch.projspace import (
     DimensionMismatch,
+    Geometry,
     Subspace,
     WrongDimension,
     ZeroVector,
@@ -19,6 +20,7 @@ from qsearch.projspace import (
     pencil_within,
     rref,
 )
+from qsearch.separating import explicit_construction
 
 
 def test_gaussian_binomial_frozen():
@@ -296,6 +298,28 @@ def _mask_by_contains(geom, s):
     return sum(1 << i for i, p in enumerate(geom.points) if s.contains(p))
 
 
+def _mask_by_layers(geom, s):
+    """The per-point mask loop `Geometry.mask` replaced.  With the echelon
+    basis b_0, ..., b_{k-1}, each point is b_i + v for exactly one i and one
+    v in the span of the rows below b_i, and that sum is already canonical."""
+    F, index = geom.F, {p: i for i, p in enumerate(geom.points)}
+    m = 0
+    for i, row in enumerate(s.basis):
+        layer = [row]
+        for below in s.basis[i + 1 :]:
+            layer += [F.axpy(c, below, u) for c in range(1, geom.q) for u in layer]
+        for u in layer:
+            m |= 1 << index[tuple(u)]
+    return m
+
+
+def _random_subspace(rng, n, q, k):
+    s = Subspace(q, n, ())
+    while s.k < k:
+        s = Subspace.span(q, n, s.basis + (tuple(rng.randrange(q) for _ in range(n)),))
+    return s
+
+
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 4), (3, 9), (4, 3), (5, 2)])
 def test_mask_matches_contains_for_every_subspace(n, q):
     geom = geometry(n, q)
@@ -309,7 +333,57 @@ def test_mask_matches_contains_for_random_subspaces(n, q):
     rng = random.Random(f"mask:{n}:{q}")
     geom = geometry(n, q)
     for k in range(1, n):
-        s = Subspace(q, n, ())
-        while s.k < k:
-            s = Subspace.span(q, n, s.basis + (tuple(rng.randrange(q) for _ in range(n)),))
+        s = _random_subspace(rng, n, q, k)
         assert geom.mask(s) == _mask_by_contains(geom, s), s
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [(2, 1021), (2, 1024), (3, 257), (3, 16), (4, 8), (5, 4), (3, 27), (4, 9)]
+    + [(5, 9), (6, 7), (7, 5)],
+)
+def test_mask_matches_the_layer_loop(n, q):
+    # q above 256, characteristic 2 and odd prime powers, random proper
+    # subspaces of every dimension; at the sizes of the explicit systems,
+    # their queries too; a fresh Geometry builds every mask cold
+    rng = random.Random(f"layers:{n}:{q}")
+    geom = Geometry(n, q)
+    subspaces = [_random_subspace(rng, n, q, k) for k in range(n) for _ in range(3)]
+    if n >= 5:
+        subspaces += explicit_construction(n, q).queries
+    for s in subspaces:
+        assert geom.mask(s) == _mask_by_layers(geom, s), s
+
+
+def test_mask_rejects_a_subspace_of_another_space():
+    geom = geometry(3, 3)
+    for s in (Subspace.full(3, 4), Subspace.full(2, 3), Subspace.full(5, 3)):
+        with pytest.raises(DimensionMismatch):
+            geom.mask(s)
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 4), (4, 3), (3, 16), (5, 2)])
+def test_rank_is_the_index_of_every_point(n, q):
+    geom = geometry(n, q)
+    assert [geom.rank(p) for p in geom.points] == list(range(len(geom.points)))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [(), (1, 0), (1, 0, 0, 0), (0, 0, 0), (2, 0, 0), (0, 3, 1), (1, 3, 0),
+     (1, -1, 0), (0, 1, 7), (1, 0.5, 0), (1, "0", 0), [1, 0, 0], None],
+)
+def test_rank_rejects_what_is_not_a_canonical_point(p):
+    with pytest.raises(KeyError):
+        geometry(3, 3).rank(p)
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=4), min_size=2, max_size=4))
+def test_rank_never_names_another_point(p):
+    geom = geometry(3, 4)
+    try:
+        i = geom.rank(tuple(p))
+    except KeyError:
+        assert tuple(p) not in geom.points
+    else:
+        assert geom.points[i] == tuple(p)

@@ -320,6 +320,37 @@ def test_separation_matches_signature_distinctness(picks):
         assert wit[0] != wit[1]
 
 
+def _signatures_by_bits(qs):
+    """The loop `signatures` replaced: set bit j of every point found in
+    query j's mask, one str.find per set bit."""
+    geom = geometry(qs.n, qs.q)
+    sigs = [0] * len(geom.points)
+    for j, s in enumerate(qs.queries):
+        bits = bin(geom.mask(s))[:1:-1]  # bits[i] is point i's membership
+        i = bits.find("1")
+        while i >= 0:
+            sigs[i] |= 1 << j
+            i = bits.find("1", i + 1)
+    return sigs
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 5), (3, 4), (5, 2)])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17])
+def test_signatures_match_the_bit_loop(n, q, count):
+    # 13, 6, 21 and 31 points, none a multiple of 8
+    rng = random.Random(f"sigs:{n}:{q}:{count}")
+    pool = [s for k in range(1, n) for s in geometry(n, q).subspaces(k)]
+    qs = QuerySet(q, n, tuple(rng.choices(pool, k=count)))
+    assert signatures(qs) == _signatures_by_bits(qs)
+
+
+@pytest.mark.parametrize("n,q", [(5, 9), (6, 7)])
+def test_signatures_of_the_explicit_systems_match_the_bit_loop(n, q):
+    # 75 and 81 queries leave the last byte lane partly filled
+    qs = explicit_construction(n, q)
+    assert signatures(qs) == _signatures_by_bits(qs)
+
+
 def refinement_witness(qs):
     """The partition-refinement check the answer-vector table replaced:
     split every cell of points by each query's mask, then report the two
