@@ -9,7 +9,6 @@ with searcher and oracle strategies plus bound computations (`game`,
 
 from .gf import GF, NotAPrimePower, field
 from .projspace import (
-    Point,
     Subspace,
     gaussian_binomial,
     geometry,
@@ -24,7 +23,6 @@ __all__ = [
     "GF",
     "NotAPrimePower",
     "field",
-    "Point",
     "Subspace",
     "gaussian_binomial",
     "geometry",

@@ -60,12 +60,10 @@ def katona_lower(n: int, q: int) -> KatonaBound:
     most m of the M points, with M, m the point counts of the whole space
     and of a hyperplane."""
     M = gaussian_binomial(n, 1, q)
-    m = gaussian_binomial(n - 1, 1, q)
-    ratio = Fraction(M, m)
-    value = float(ratio) * math.log2(M) / math.log2(math.e * float(ratio))
-    simplified = (
-        (n - 1) * q * math.log2(q) / (2 + math.log2((q**n - 1) / (q ** (n - 1) - 1)))
-    )
+    m = (M - 1) // q  # M = 1 + q m, so m needs no second q^n-sized power
+    ratio = M / m  # correctly rounded, as float(Fraction(M, m)) is
+    value = ratio * math.log2(M) / math.log2(math.e * ratio)
+    simplified = (n - 1) * q * math.log2(q) / (2 + math.log2(ratio))
     return KatonaBound(value=value, simplified=simplified)
 
 

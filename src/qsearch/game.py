@@ -8,9 +8,9 @@ answers and referees the final announcement.  `sweep` plays a searcher
 against every hidden point at once by walking its YES/NO answer tree, with
 the same referee rules.
 
-Searchers are stateless: decide() recomputes the whole plan from the
-recorded history, so any finished game can be replayed bit for bit from
-its transcript.
+Searchers and oracles are stateless: each is a pure function of the game
+state, the recorded history and the candidate mask it leaves, so any
+finished game can be replayed bit for bit from its transcript.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ class InductiveSearcher:
 
 class TwoRoundSearcher:
     """Non-interleaved strategy: one batch fixing the zero pattern, one
-    batch of coordinate-ratio questions, then announce.  Never announces
+    batch of coordinate-ratio questions, then announce the single remaining
+    candidate; the two batches separate every point.  Never announces
     early, so its count is an exact function of the hidden point."""
 
     def __init__(self, n: int, q: int):
@@ -353,21 +354,12 @@ class TwoRoundSearcher:
         if len(hist) < n:
             return ("ask", coordinate_hyperplane(q, n, len(hist)))
         nz = [i for i in range(n) if not hist[i][1].yes]
-        if q == 2 or len(nz) <= 1:
-            return ("announce", tuple(1 if i in nz else 0 for i in range(n)))
-        c = nz[0]
-        # the script asks v_j = lam * v_c for each later j, lam = 1..q-2
-        pos, lam = divmod(len(hist) - n, q - 2)
-        if pos < len(nz) - 1:
-            return ("ask", ratio_hyperplane(q, n, c, nz[1 + pos], lam + 1))
-        vec = [0] * n
-        vec[c] = 1
-        for pos, j in enumerate(nz[1:]):
-            block = hist[n + pos * (q - 2) : n + (pos + 1) * (q - 2)]
-            vec[j] = next(
-                (lam for lam, (_, a) in enumerate(block, start=1) if a.yes), q - 1
-            )
-        return ("announce", tuple(vec))
+        if q > 2 and len(nz) > 1:
+            # the script asks v_j = lam * v_c for each later j, lam = 1..q-2
+            pos, lam = divmod(len(hist) - n, q - 2)
+            if pos < len(nz) - 1:
+                return ("ask", ratio_hyperplane(q, n, nz[0], nz[1 + pos], lam + 1))
+        return ("announce", view.geom.lowest_point(view.candidates))
 
 
 class RandomLineSearcher:
@@ -410,15 +402,14 @@ class FixedOracle:
         return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
-def _completions(geom: Geometry, lines) -> list[Subspace]:
-    """Lines h such that lines + [h] cover every point of the plane, in
-    lexicographic basis order."""
-    cov = 0
-    for ln in lines:
-        cov |= geom.mask(ln)
-    unc = geom.full_mask & ~cov
+def _completions(geom: Geometry, unc: int) -> list[Subspace]:
+    """The lines holding every point of the mask unc, in lexicographic basis
+    order: all of them when unc is empty, the pencil of a lone point, and
+    otherwise at most the line through its two lowest points."""
     if unc == 0:
         return sorted(geom.subspaces(2), key=lambda s: s.basis)
+    if unc.bit_count() > geom.q + 1:  # more than a line holds
+        return []
     p1 = geom.lowest_point(unc)
     if unc.bit_count() == 1:
         return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
@@ -428,64 +419,44 @@ def _completions(geom: Geometry, lines) -> list[Subspace]:
 
 
 class AdversaryOracle:
-    """Answer-delaying adversary for the plane (n=3).
+    """Answer-delaying adversary for the plane (n=3), a function of the
+    candidates its history leaves.
 
-    Keeps the set L of lines declared not to contain the hidden point.  It
-    answers NO to a line as long as L plus that line stays at least two
-    lines away from covering the whole plane; the first line whose denial
-    would break this gets a YES, committing the hidden point to it.  Point
-    questions are deflected by volunteering a line constraint instead of a
-    bare answer.  Every game against it costs any searcher at least 2q-1
-    questions."""
+    Invariant: until a line is committed to, the candidates are the plane
+    minus the lines declared not to hold the hidden point, and they lie on
+    no single line.  A line query gets NO as long as the candidates off it
+    still lie on no single line; the first line whose denial would break
+    this gets a YES, committing the hidden point to it.  A point question is
+    deflected by volunteering a line constraint instead of a bare answer.
+    Once one line holds every candidate, queries are answered YES exactly
+    when they hold them all.  Every game against it costs any searcher at
+    least 2q-1 questions."""
 
     def __init__(self, q: int):
         self.q = q
         self.geom = geometry(3, q)
         self.name = "adversary"
 
-    def _replay(self, history):
-        geom = self.geom
-        declared: list[Subspace] = []
-        committed = False
-        cand = geom.full_mask
-        for qry, ans in history:
-            cand = _narrow(geom, cand, qry, ans)
-            if not committed:
-                if ans.yes and qry.k == 2:
-                    committed = True
-                elif ans.volunteered is not None and ans.volunteered[0] == "in-line":
-                    committed = True
-                elif not ans.yes and qry.k == 2:
-                    declared.append(qry)
-                elif ans.volunteered is not None:
-                    declared.append(ans.volunteered[1])
-        return declared, committed, cand
-
     def answer(self, query: Subspace, history) -> Answer:
         if (query.q, query.n) != (self.q, 3):
             raise DimensionMismatch(f"adversary plays GF({self.q})^3 only")
-        declared, committed, cand = self._replay(history)
         geom = self.geom
-        if committed:
-            m = geom.mask(query)
-            if cand & ~m == 0:
-                return Answer(True)
-            if cand.bit_count() >= 2:
-                return Answer(False)
-            return Answer(bool(cand & m))
+        cand = geom.full_mask
+        for qry, ans in history:
+            cand = _narrow(geom, cand, qry, ans)
+        m = geom.mask(query)
+        if _completions(geom, cand):  # committed: one line holds them all
+            return YES if cand & ~m == 0 else NO
         if query.k == 2:
-            if _completions(geom, declared + [query]):
-                return Answer(True)
-            return Answer(False)
+            return YES if _completions(geom, cand & ~m) else NO
         # point question: volunteer a line constraint instead
-        p = query.basis[0]
         pencil = geom.pencil(query)
         for ln in pencil:
-            if not _completions(geom, declared + [ln]):
+            if not _completions(geom, cand & ~geom.mask(ln)):
                 return Answer(False, ("not-in-line", ln))
-        for m in pencil:
-            for lstar in _completions(geom, declared + [m]):
-                if not lstar.contains(p):
+        for ln in pencil:
+            for lstar in _completions(geom, cand & ~geom.mask(ln)):
+                if not geom.mask(lstar) & m:
                     return Answer(False, ("in-line", lstar))
         raise InternalInconsistency("no consistent deflection for a point question")
 

@@ -101,9 +101,6 @@ def enumerate_points(n: int, q: int):
             yield prefix + suffix
 
 
-Point = tuple  # alias for readability in signatures
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------

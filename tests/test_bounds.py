@@ -11,6 +11,7 @@ from qsearch.bounds import (
     n3_specials,
     nonadaptive_bounds,
 )
+from qsearch.projspace import gaussian_binomial
 from qsearch.separating import brute_force_minimum, explicit_construction
 
 TOL = 1e-9
@@ -43,6 +44,27 @@ def test_katona_frozen():
     assert katona_lower(3, 3).value == pytest.approx(3.8262530899788088, abs=TOL)
     assert katona_lower(3, 4).value == pytest.approx(5.2511500548093295, abs=TOL)
     assert katona_lower(3, 3).simplified == pytest.approx(2.569904046188368, abs=TOL)
+
+
+def _katona_by_two_counts(n, q):
+    """The bound as first written: the hyperplane count from its own
+    Gaussian binomial, and the asymptotic form's ratio from q^n - 1 and
+    q^(n-1) - 1."""
+    M = gaussian_binomial(n, 1, q)
+    m = gaussian_binomial(n - 1, 1, q)
+    ratio = Fraction(M, m)
+    value = float(ratio) * math.log2(M) / math.log2(math.e * float(ratio))
+    simplified = (
+        (n - 1) * q * math.log2(q) / (2 + math.log2((q**n - 1) / (q ** (n - 1) - 1)))
+    )
+    return value, simplified
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 100, 1000])
+def test_katona_matches_the_two_count_form_exactly(n):
+    for q in (2, 3, 4, 5, 7, 8, 9, 13, 1024, 1000000000000000003):
+        k = katona_lower(n, q)
+        assert (k.value, k.simplified) == _katona_by_two_counts(n, q), (n, q)
 
 
 def test_katona_monotone_in_n():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from qsearch.game import (
     Transcript,
     TwoRoundSearcher,
     _completions,
+    _narrow,
     oracle_from_name,
     replay,
     run_game,
@@ -267,19 +269,27 @@ def test_volunteered_lines_recorded_in_transcript():
     assert t.entries[0]["volunteered"]["kind"] in ("in-line", "not-in-line")
 
 
-# _completions lists the lines that complete a set of lines to a cover of
-# the plane; the adversary oracle answers by it
+# _completions lists the lines that hold every point of a mask; the
+# adversary oracle answers by it
+
+
+def _uncovered(geom, lines):
+    cov = 0
+    for ln in lines:
+        cov |= geom.mask(ln)
+    return geom.full_mask & ~cov
 
 
 def test_cover_extension_check_empty():
-    assert _completions(geometry(3, 3), []) == []
+    geom = geometry(3, 3)
+    assert _completions(geom, _uncovered(geom, [])) == []
 
 
 def test_cover_extension_check_concurrent_pencil():
     geom = geometry(3, 3)
     center = Subspace.span(3, 3, [(1, 0, 0)])
     pencil = geom.pencil(center)
-    assert _completions(geom, list(pencil[:-1])) == [pencil[-1]]
+    assert _completions(geom, _uncovered(geom, pencil[:-1])) == [pencil[-1]]
 
 
 def test_cover_extension_check_triangle():
@@ -288,7 +298,120 @@ def test_cover_extension_check_triangle():
         Subspace.span(3, 3, [(1, 0, 0), (0, 0, 1)]),
         Subspace.span(3, 3, [(1, 0, 0), (0, 1, 0)]),
     ]
-    assert _completions(geometry(3, 3), tri) == []
+    geom = geometry(3, 3)
+    assert _completions(geom, _uncovered(geom, tri)) == []
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_completions_of_small_masks(q):
+    geom = geometry(3, q)
+    lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
+    assert _completions(geom, 0) == lines
+    p = Subspace.span(q, 3, [(1, 1, 1)])
+    assert _completions(geom, geom.mask(p)) == geom.pencil(p)
+    ln = lines[-1]
+    assert geom.mask(ln).bit_count() == q + 1
+    assert _completions(geom, geom.mask(ln)) == [ln]
+    # one point more than a line holds: the early exit
+    beyond = geom.mask(ln) | geom.point_mask((1, 0, 0))
+    assert beyond.bit_count() == q + 2
+    assert _completions(geom, beyond) == []
+
+
+def _line_completions(geom, lines):
+    """Lines h such that lines + [h] cover every point of the plane."""
+    unc = _uncovered(geom, lines)
+    if unc == 0:
+        return sorted(geom.subspaces(2), key=lambda s: s.basis)
+    p1 = geom.lowest_point(unc)
+    if unc.bit_count() == 1:
+        return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
+    p2 = geom.lowest_point(unc & (unc - 1))
+    ln = Subspace.span(geom.q, 3, [p1, p2])
+    return [ln] if (geom.mask(ln) & unc) == unc else []
+
+
+class _ReplayAdversary:
+    """The adversary as first written, the test oracle for AdversaryOracle:
+    it replays the history into the list of declared lines and a committed
+    flag, and answers from those."""
+
+    name = "adversary"
+
+    def __init__(self, q):
+        self.q = q
+        self.geom = geometry(3, q)
+
+    def _replay(self, history):
+        geom = self.geom
+        declared = []
+        committed = False
+        cand = geom.full_mask
+        for qry, ans in history:
+            cand = _narrow(geom, cand, qry, ans)
+            if not committed:
+                if ans.yes and qry.k == 2:
+                    committed = True
+                elif ans.volunteered is not None and ans.volunteered[0] == "in-line":
+                    committed = True
+                elif not ans.yes and qry.k == 2:
+                    declared.append(qry)
+                elif ans.volunteered is not None:
+                    declared.append(ans.volunteered[1])
+        return declared, committed, cand
+
+    def answer(self, query, history):
+        declared, committed, cand = self._replay(history)
+        geom = self.geom
+        if committed:
+            m = geom.mask(query)
+            if cand & ~m == 0:
+                return Answer(True)
+            if cand.bit_count() >= 2:
+                return Answer(False)
+            return Answer(bool(cand & m))
+        if query.k == 2:
+            return Answer(bool(_line_completions(geom, declared + [query])))
+        p = query.basis[0]
+        pencil = geom.pencil(query)
+        for ln in pencil:
+            if not _line_completions(geom, declared + [ln]):
+                return Answer(False, ("not-in-line", ln))
+        for m in pencil:
+            for lstar in _line_completions(geom, declared + [m]):
+                if not lstar.contains(p):
+                    return Answer(False, ("in-line", lstar))
+        raise InternalInconsistency("no consistent deflection for a point question")
+
+
+class RandomProber:
+    """Asks a seeded random point or line that splits the candidates, drawn
+    afresh from the seed and the game state at each decision."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.name = f"prober:{seed}"
+
+    def decide(self, view):
+        cand = view.candidates
+        if cand.bit_count() == 1:
+            return ("announce", view.geom.lowest_point(cand))
+        rng = random.Random(f"{self.seed}:{len(view.history)}:{cand}")
+        pool = view.geom.subspaces(1) + view.geom.subspaces(2)
+        splits = [s for s in pool if 0 != cand & view.geom.mask(s) != cand]
+        return ("ask", rng.choice(splits))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_adversary_matches_the_replay_adversary(q):
+    names = ("plane", "inductive", "two-round")
+    searchers = [searcher_from_name(name, 3, q) for name in names]
+    searchers += [RandomLineSearcher(3, q, seed) for seed in range(25)]
+    searchers += [RandomProber(f"{q}:{seed}") for seed in range(7)]
+    for searcher in searchers:
+        got = run_game(searcher, AdversaryOracle(q), 3, q)
+        want = run_game(searcher, _ReplayAdversary(q), 3, q)
+        assert got.to_json() == want.to_json(), searcher.name
 
 
 def test_transcript_json_round_trip():
