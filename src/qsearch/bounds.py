@@ -7,26 +7,34 @@ exists, so comparisons never hinge on silent rounding.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .gf import factor_prime_power
 from .projspace import gaussian_binomial
+from .record import Record, _set
+
+# fractions and csv are imported by the functions that use them, so a
+# process that never builds a bounds report does not load them
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class TaggedValue:
+class TaggedValue(Record):
     """A bound figure: float approximation, method tag, exact value when
     the quantity is rational."""
 
-    value: float
-    tag: str
-    exact: Fraction | None = None
+    __slots__ = _fields = ("value", "tag", "exact")
+
+    def __init__(self, value: float, tag: str, exact: Fraction | None = None):
+        _set(self, "value", value)
+        _set(self, "tag", tag)
+        _set(self, "exact", exact)
 
 
 def _exact(value, tag: str) -> TaggedValue:
+    from fractions import Fraction
+
     f = Fraction(value)
     return TaggedValue(float(f), tag, f)
 
@@ -46,13 +54,15 @@ def adaptive_bounds(n: int, q: int) -> tuple[float, int]:
     return lower, (q - 1) * (n - 1) + 1
 
 
-@dataclass(frozen=True)
-class KatonaBound:
+class KatonaBound(Record):
     """Non-adaptive information-style lower bound, in its direct form and
     the weaker closed form used for asymptotics."""
 
-    value: float
-    simplified: float
+    __slots__ = _fields = ("value", "simplified")
+
+    def __init__(self, value: float, simplified: float):
+        _set(self, "value", value)
+        _set(self, "simplified", simplified)
 
 
 def katona_lower(n: int, q: int) -> KatonaBound:
@@ -67,11 +77,13 @@ def katona_lower(n: int, q: int) -> KatonaBound:
     return KatonaBound(value=value, simplified=simplified)
 
 
-@dataclass(frozen=True)
-class NonadaptiveBounds:
-    katona: KatonaBound
-    upper_explicit: int
-    upper_random: int
+class NonadaptiveBounds(Record):
+    __slots__ = _fields = ("katona", "upper_explicit", "upper_random")
+
+    def __init__(self, katona: KatonaBound, upper_explicit: int, upper_random: int):
+        _set(self, "katona", katona)
+        _set(self, "upper_explicit", upper_explicit)
+        _set(self, "upper_random", upper_random)
 
 
 def nonadaptive_bounds(n: int, q: int) -> NonadaptiveBounds:
@@ -86,22 +98,27 @@ def nonadaptive_bounds(n: int, q: int) -> NonadaptiveBounds:
     )
 
 
-@dataclass(frozen=True)
-class N3Specials:
+class N3Specials(Record):
     """Plane-specific lower-bound landscape: the best applicable double
     blocking number bound, the derived minimum-system bound, and the known
     exact minimum for large square orders."""
 
-    q: int
-    tau2_bound: TaggedValue
-    ht_lower: TaggedValue
-    exact_m3q: int | None
+    __slots__ = _fields = ("q", "tau2_bound", "ht_lower", "exact_m3q")
+
+    def __init__(self, q: int, tau2_bound: TaggedValue, ht_lower: TaggedValue,
+                 exact_m3q: int | None):
+        _set(self, "q", q)
+        _set(self, "tau2_bound", tau2_bound)
+        _set(self, "ht_lower", ht_lower)
+        _set(self, "exact_m3q", exact_m3q)
 
 
 def n3_specials(q: int) -> N3Specials | None:
     """Special bounds for n=3; None below q=3 where none of them apply."""
     if q < 3:
         return None
+    from fractions import Fraction
+
     p, e = factor_prime_power(q)
     cands = [_exact(2 * q + 1, "double-blocking-counting")]
     if q >= 9:
@@ -136,21 +153,10 @@ def n3_specials(q: int) -> N3Specials | None:
     return N3Specials(q=q, tau2_bound=tau2, ht_lower=ht, exact_m3q=exact)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """All brackets for one (n, q), ready for JSON or CSV emission."""
 
-    n: int
-    q: int
-    adaptive_lower: TaggedValue
-    adaptive_upper: TaggedValue
-    nonadaptive_lower_katona: TaggedValue
-    nonadaptive_lower_asymptotic: TaggedValue
-    nonadaptive_upper_explicit: TaggedValue
-    nonadaptive_upper_random: TaggedValue
-    n3_specials: N3Specials | None
-
-    _FIELDS = (
+    _TAGGED = (
         "adaptive_lower",
         "adaptive_upper",
         "nonadaptive_lower_katona",
@@ -158,11 +164,27 @@ class BoundsReport:
         "nonadaptive_upper_explicit",
         "nonadaptive_upper_random",
     )
+    __slots__ = _fields = ("n", "q") + _TAGGED + ("n3_specials",)
+
+    def __init__(self, n: int, q: int, adaptive_lower: TaggedValue,
+                 adaptive_upper: TaggedValue, nonadaptive_lower_katona: TaggedValue,
+                 nonadaptive_lower_asymptotic: TaggedValue,
+                 nonadaptive_upper_explicit: TaggedValue,
+                 nonadaptive_upper_random: TaggedValue, n3_specials: N3Specials | None):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "adaptive_lower", adaptive_lower)
+        _set(self, "adaptive_upper", adaptive_upper)
+        _set(self, "nonadaptive_lower_katona", nonadaptive_lower_katona)
+        _set(self, "nonadaptive_lower_asymptotic", nonadaptive_lower_asymptotic)
+        _set(self, "nonadaptive_upper_explicit", nonadaptive_upper_explicit)
+        _set(self, "nonadaptive_upper_random", nonadaptive_upper_random)
+        _set(self, "n3_specials", n3_specials)
 
     def rows(self) -> list[tuple]:
         """CSV rows in the documented column order BOUNDS_CSV_COLUMNS."""
         out = []
-        for name in self._FIELDS:
+        for name in self._TAGGED:
             tv: TaggedValue = getattr(self, name)
             out.append((self.n, self.q, name, tv.tag, tv.value, tv.exact))
         sp = self.n3_specials
@@ -176,6 +198,8 @@ class BoundsReport:
                  sp.ht_lower.value, sp.ht_lower.exact)
             )
             if sp.exact_m3q is not None:
+                from fractions import Fraction
+
                 out.append(
                     (self.n, self.q, "n3_exact_m3q", "exact-square",
                      float(sp.exact_m3q), Fraction(sp.exact_m3q))
@@ -190,7 +214,7 @@ class BoundsReport:
             return d
 
         out = {"n": self.n, "q": self.q}
-        for name in self._FIELDS:
+        for name in self._TAGGED:
             out[name] = tv_dict(getattr(self, name))
         if self.n3_specials is not None:
             sp = self.n3_specials
@@ -208,6 +232,8 @@ BOUNDS_CSV_COLUMNS = ("n", "q", "name", "tag", "value", "exact")
 def write_bounds_csv(stream, reports) -> None:
     """The header, then every row of each report; `exact` is a rational
     string, or empty when the bound has no exact value."""
+    import csv
+
     w = csv.writer(stream)
     w.writerow(BOUNDS_CSV_COLUMNS)
     for rep in reports:

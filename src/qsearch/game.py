@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .projspace import (
@@ -32,6 +31,7 @@ from .projspace import (
     normalize,
     pencil_within,
 )
+from .record import Record, _set
 from .separating import coordinate_hyperplane, ratio_hyperplane
 
 
@@ -47,41 +47,50 @@ class InternalInconsistency(RuntimeError):
     """An oracle invariant failed; indicates a bug, not a bad input."""
 
 
-@dataclass(frozen=True)
-class Answer:
-    yes: bool
-    volunteered: tuple[str, Subspace] | None = None  # ("in-line"|"not-in-line", L)
+class Answer(Record):
+    __slots__ = _fields = ("yes", "volunteered")
+
+    def __init__(self, yes: bool, volunteered: tuple[str, Subspace] | None = None):
+        _set(self, "yes", yes)
+        _set(self, "volunteered", volunteered)  # ("in-line"|"not-in-line", L)
 
 
-# the two bare verdicts, shared: answers are frozen values
+# the two bare verdicts, shared: answers are read-only values
 NO, YES = Answer(False), Answer(True)
 
 
-@dataclass(frozen=True)
-class GameView:
+class GameView(Record):
     """What a searcher sees: past queries with answers, and the bitmask of
     points still consistent with everything said so far."""
 
-    n: int
-    q: int
-    geom: Geometry
-    history: tuple[tuple[Subspace, Answer], ...]
-    candidates: int
+    __slots__ = _fields = ("n", "q", "geom", "history", "candidates")
+
+    def __init__(self, n: int, q: int, geom: Geometry,
+                 history: tuple[tuple[Subspace, Answer], ...], candidates: int):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "geom", geom)
+        _set(self, "history", history)
+        _set(self, "candidates", candidates)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Record):
     """Self-contained record of one game.  Entries hold the asked queries
     with their verdicts; the outcome is either {"identified": point} or
     {"aborted": reason}."""
 
-    n: int
-    q: int
-    searcher: str
-    oracle: str
-    entries: tuple
-    outcome: dict
-    count: int
+    __slots__ = _fields = ("n", "q", "searcher", "oracle", "entries", "outcome",
+                           "count")
+
+    def __init__(self, n: int, q: int, searcher: str, oracle: str, entries: tuple,
+                 outcome: dict, count: int):
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "searcher", searcher)
+        _set(self, "oracle", oracle)
+        _set(self, "entries", entries)
+        _set(self, "outcome", outcome)
+        _set(self, "count", count)
 
     def to_json(self) -> str:
         payload = {

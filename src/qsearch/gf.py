@@ -195,6 +195,8 @@ class GF:
         return out
 
     def _raw_mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return a * b % self.p
         prod = _poly_mul(self._to_poly(a), self._to_poly(b), self.p)
         return self._from_poly(_poly_mod(prod, self.modulus, self.p))
 

@@ -22,10 +22,10 @@ import json
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf import GF, field
+from .record import Record, _set
 
 
 class ZeroVector(ValueError):
@@ -47,11 +47,13 @@ class TooLarge(ValueError):
 DEFAULT_POINT_CAP = 10**6
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over GF(q).
 
     Exact integer; 0 when k is outside [0, n], matching the convention for
-    binomial coefficients.
+    binomial coefficients.  Cached, so the callers that each need the point
+    count of one (n, q) share a single q^n-sized computation.
     """
     if k < 0 or k > n:
         return 0
@@ -130,13 +132,18 @@ def rref(q: int, rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat[:rank])
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Linear subspace of GF(q)^n in reduced row echelon basis form."""
 
-    q: int
-    n: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "n", "basis", "_hash", "_literal")
+    _fields = ("q", "n", "basis")
+
+    def __init__(self, q: int, n: int, basis: tuple[tuple[int, ...], ...]):
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "basis", basis)
+        # hashed up front: nearly every subspace is looked up in a cache
+        _set(self, "_hash", hash((q, n, basis)))
 
     @staticmethod
     def span(q: int, n: int, vectors) -> "Subspace":
@@ -172,22 +179,24 @@ class Subspace:
                 v = F.axpy(F.neg(v[pc]), row, v)
         return not any(v)
 
+    def __eq__(self, other):
+        # mask-cache lookups compare equal subspaces built apart, and the
+        # basis is what tells two subspaces of one space apart
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis and self.q == other.q and self.n == other.n
+
     def __hash__(self) -> int:
-        # the value dataclass would compute, cached: subspaces are frozen,
-        # and hot paths hash the same ones again and again
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = self.__dict__["_hash"] = hash((self.q, self.n, self.basis))
-        return got
+        return self._hash
 
     def literal(self) -> str:
-        """One-line text form, parseable by Subspace.parse."""
-        got = self.__dict__.get("_literal")
-        if got is None:
+        """One-line text form, parseable by Subspace.parse; built once."""
+        try:
+            return self._literal
+        except AttributeError:
             basis = json.dumps([list(r) for r in self.basis], separators=(",", ","))
-            got = f"q={self.q} n={self.n} k={self.k} basis={basis}"
-            self.__dict__["_literal"] = got
-        return got
+            _set(self, "_literal", f"q={self.q} n={self.n} k={self.k} basis={basis}")
+            return self._literal
 
     _LITERAL = re.compile(r"^q=(\d+) n=(\d+) k=(\d+) basis=(\[.*\])$")
 

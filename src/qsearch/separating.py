@@ -15,7 +15,6 @@ behind `oracle claim-count` reads one such table per pencil.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .projspace import (
     normalize,
     point_count,
 )
+from .record import Record, _set
 
 
 class NotSeparating(ValueError):
@@ -48,25 +48,22 @@ class Exhausted(RuntimeError):
     """Exhaustive search ran out of sizes without finding a system."""
 
 
-@dataclass(frozen=True)
-class QuerySet:
+class QuerySet(Record):
     """An ordered batch of subspace membership queries over GF(q)^n."""
 
-    q: int
-    n: int
-    queries: tuple[Subspace, ...]
-    provenance: str = ""
+    __slots__ = _fields = ("q", "n", "queries", "provenance")
 
-    def __post_init__(self):
-        for s in self.queries:
-            if (s.q, s.n) != (self.q, self.n):
-                raise DimensionMismatch(
-                    f"query over GF({s.q})^{s.n} in a GF({self.q})^{self.n} set"
-                )
-            if not 1 <= s.k <= self.n - 1:
-                raise WrongDimension(
-                    f"query dimension {s.k} outside [1, {self.n - 1}]"
-                )
+    def __init__(self, q: int, n: int, queries: tuple[Subspace, ...],
+                 provenance: str = ""):
+        for s in queries:
+            if (s.q, s.n) != (q, n):
+                raise DimensionMismatch(f"query over GF({s.q})^{s.n} in a GF({q})^{n} set")
+            if not 1 <= s.k <= n - 1:
+                raise WrongDimension(f"query dimension {s.k} outside [1, {n - 1}]")
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "queries", queries)
+        _set(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.queries)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -361,6 +364,24 @@ def test_bounds_near_the_primality_bound(capsys, q, code, message):
     got, out, err = run(capsys, "bounds", "--n", "3", "--q", str(q))
     assert time.monotonic() - start < 10
     assert (got, err) == (code, message)
+
+
+def test_importing_the_cli_loads_no_module_a_command_may_not_need():
+    # every qsearch process imports the CLI first, so what it loads is
+    # paid at each start; dataclasses pulls in inspect, fractions decimal
+    unwanted = ("dataclasses", "inspect", "fractions", "decimal", "csv")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = f"import qsearch.cli, sys; print(sorted(set({unwanted!r}) & set(sys.modules)))"
+    got = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "[]\n", f"importing qsearch.cli loaded {got.stdout.strip()}"
 
 
 # argv pieces for the fuzz test: every (n, q) in range is small enough to

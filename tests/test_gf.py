@@ -333,6 +333,21 @@ def test_tables_match_branching_field_sampled(q):
     _agree(F, O, [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)])
 
 
+class PolynomialGF(GF):
+    """GF building its generator cycle by polynomial multiplication in prime
+    fields too, as every field did before prime fields took a * b % p."""
+
+    def _raw_mul(self, a, b):
+        prod = _poly_mul(self._to_poly(a), self._to_poly(b), self.p)
+        return self._from_poly(_poly_mod(prod, self.modulus, self.p))
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7, 31, 127, 257, 509, 997, 1021))
+def test_prime_field_tables_match_the_polynomial_path(q):
+    F, O = GF(q), PolynomialGF(q)
+    assert (F.generator, F.exp, F.log) == (O.generator, O.exp, O.log)
+
+
 @pytest.mark.parametrize("q", ALL_Q + (25, 27, 32, 243))
 def test_axpy_is_mul_then_add(q):
     F = field(q)
