@@ -15,7 +15,7 @@ from .projspace import (
     enumerate_points,
     enumerate_subspaces,
 )
-from .separating import QuerySet, is_separating, explicit_construction, random_construction
+from .separating import QuerySet, is_separating, explicit_construction
 from .game import Transcript, run_game, searcher_from_name, oracle_from_name
 from .bounds import adaptive_bounds, katona_lower, n3_specials
 
@@ -31,7 +31,6 @@ __all__ = [
     "QuerySet",
     "is_separating",
     "explicit_construction",
-    "random_construction",
     "Transcript",
     "run_game",
     "searcher_from_name",

@@ -8,9 +8,10 @@ answers and referees the final announcement.  `sweep` plays a searcher
 against every hidden point at once by walking its YES/NO answer tree, with
 the same referee rules.
 
-Searchers and oracles are stateless: each is a pure function of the game
-state, the recorded history and the candidate mask it leaves, so any
-finished game can be replayed bit for bit from its transcript.
+Searchers and oracles are stateless, so any finished game can be replayed
+bit for bit from its transcript.  A searcher is a pure function of the
+number of queries asked and the candidate mask; an oracle is a pure
+function of the query and the history of (query, answer) pairs before it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .projspace import (
     Subspace,
     WrongDimension,
     basis_extension,
-    gaussian_binomial,
     geometry,
     normalize,
     pencil_within,
@@ -60,17 +60,15 @@ NO, YES = Answer(False), Answer(True)
 
 
 class GameView(Record):
-    """What a searcher sees: past queries with answers, and the bitmask of
-    points still consistent with everything said so far."""
+    """What a searcher sees: the number of queries asked so far, and the
+    bitmask of points still consistent with every answer.  That mask is all
+    the answers tell, so a searcher decides from it alone."""
 
-    __slots__ = _fields = ("n", "q", "geom", "history", "candidates")
+    __slots__ = _fields = ("geom", "asked", "candidates")
 
-    def __init__(self, n: int, q: int, geom: Geometry,
-                 history: tuple[tuple[Subspace, Answer], ...], candidates: int):
-        _set(self, "n", n)
-        _set(self, "q", q)
+    def __init__(self, geom: Geometry, asked: int, candidates: int):
         _set(self, "geom", geom)
-        _set(self, "history", history)
+        _set(self, "asked", asked)
         _set(self, "candidates", candidates)
 
 
@@ -150,7 +148,7 @@ def _rule(geom: Geometry, decision, cand: int, asked: int, limit: int):
     kind, payload = decision
     if kind == "announce":
         p = normalize(geom.q, payload)
-        if cand.bit_count() != 1 or geom.point_mask(p) != cand:
+        if cand.bit_count() != 1 or 1 << geom.rank(p) != cand:
             raise BadAnnounce(f"announced {p} with {cand.bit_count()} consistent points")
         return ("identified", p)
     qry: Subspace = payload
@@ -165,18 +163,18 @@ def _rule(geom: Geometry, decision, cand: int, asked: int, limit: int):
     return ("ask", qry)
 
 
-def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Transcript:
-    """Referee one game.  Announcing costs nothing; each query spends one
-    unit of the limit, which defaults to the number of points (asking every
-    point one by one always suffices)."""
+def run_game(searcher, oracle, n: int, q: int) -> Transcript:
+    """Referee one game.  Announcing costs nothing; a game is aborted once
+    it has asked as many queries as there are points (asking every point
+    one by one always suffices).  The history of (query, answer) pairs is
+    kept for the oracle only."""
     geom = geometry(n, q)
-    if limit is None:
-        limit = gaussian_binomial(n, 1, q)
+    limit = len(geom.points)
     cand = geom.full_mask
-    history: list[tuple[Subspace, Answer]] = []
+    history: tuple[tuple[Subspace, Answer], ...] = ()
     entries: list[dict] = []
     while True:
-        view = GameView(n, q, geom, tuple(history), cand)
+        view = GameView(geom, len(history), cand)
         kind, got = _rule(geom, searcher.decide(view), cand, len(history), limit)
         if kind == "identified":
             outcome = {"identified": list(got)}
@@ -184,11 +182,11 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
         if kind == "aborted":
             outcome = {"aborted": "query-limit"}
             break
-        ans = oracle.answer(got, view.history)
+        ans = oracle.answer(got, history)
         cand = _narrow(geom, cand, got, ans)
         if cand == 0:
             raise InconsistentOracle(f"no point is consistent after {got.literal()}")
-        history.append((got, ans))
+        history += ((got, ans),)
         entry = {"query": got.literal(), "verdict": "YES" if ans.yes else "NO"}
         if ans.volunteered is not None:
             entry["volunteered"] = {
@@ -210,8 +208,7 @@ def run_game(searcher, oracle, n: int, q: int, limit: int | None = None) -> Tran
 def sweep(searcher, n: int, q: int) -> list[tuple]:
     """Every game of the searcher against a truthful oracle at once:
     (point, count, identified) for each point, in geom.points order, with
-    the same counts and outcomes as one run_game per point under its
-    default query limit, the number of points.
+    the same counts and outcomes as one run_game per point.
 
     The walk visits each node of the searcher's YES/NO answer tree once,
     so decide runs once per distinct answer prefix; an empty branch is no
@@ -224,23 +221,23 @@ def sweep(searcher, n: int, q: int) -> list[tuple]:
     geom = geometry(n, q)
     limit = len(geom.points)
     out: list = [None] * limit
-    pending = [(0, (), geom.full_mask)]  # (lowest candidate, history, candidates)
+    pending = [(0, 0, geom.full_mask)]  # (lowest candidate, asked, candidates)
     while pending:
-        low, history, cand = heapq.heappop(pending)
-        view = GameView(n, q, geom, history, cand)
-        kind, got = _rule(geom, searcher.decide(view), cand, len(history), limit)
+        low, asked, cand = heapq.heappop(pending)
+        view = GameView(geom, asked, cand)
+        kind, got = _rule(geom, searcher.decide(view), cand, asked, limit)
         if kind == "ask":
             m = geom.mask(got)
-            for ans, sub in ((NO, cand & ~m), (YES, cand & m)):
+            for sub in (cand & ~m, cand & m):
                 if sub:
                     key = (sub & -sub).bit_length() - 1
-                    heapq.heappush(pending, (key, history + ((got, ans),), sub))
+                    heapq.heappush(pending, (key, asked + 1, sub))
         elif kind == "identified":
-            out[low] = (geom.points[low], len(history), True)
+            out[low] = (geom.points[low], asked, True)
         else:  # aborted: every candidate's game stops here
             while cand:
                 i = (cand & -cand).bit_length() - 1
-                out[i] = (geom.points[i], len(history), False)
+                out[i] = (geom.points[i], asked, False)
                 cand &= cand - 1
     return out
 
@@ -270,16 +267,23 @@ class PlaneSearcher:
     def __init__(self, q: int):
         self.q = q
         self.name = "plane"
+        geom = geometry(3, q)
+        lines = geom.pencil(Subspace.span(q, 3, [geom.points[0]]))[:q]
+        self.lines = tuple((ln, geom.mask(ln)) for ln in lines)
 
     def decide(self, view: GameView):
-        if view.candidates.bit_count() == 1:
-            return ("announce", view.geom.lowest_point(view.candidates))
-        x = view.geom.points[0]
-        pencil = view.geom.pencil(Subspace.span(self.q, 3, [x]))
-        got_yes = any(a.yes for _, a in view.history)
-        if not got_yes and len(view.history) < self.q:
-            return ("ask", pencil[len(view.history)])
-        probe = view.geom.lowest_point(view.candidates)
+        cand = view.candidates
+        if cand.bit_count() == 1:
+            return ("announce", view.geom.lowest_point(cand))
+        # a line holding no candidate was denied; one holding them all was
+        # confirmed, and the sweep stops; the first line that splits is next
+        for ln, m in self.lines:
+            inside = cand & m
+            if inside == cand:
+                break
+            if inside:
+                return ("ask", ln)
+        probe = view.geom.lowest_point(cand)
         return ("ask", Subspace.span(self.q, 3, [probe]))
 
 
@@ -287,9 +291,10 @@ class PlaneSearcher:
 def _round(ctx: Subspace, known_not: Subspace | None):
     """One round of the inductive descent inside ctx: the pencil axis u,
     the pencil members to ask about in order, each of them lifted to a
-    hyperplane of the full space, and the member inferred when every ask
-    gets NO.  known_not, when given, is a hyperplane of ctx known not to
-    contain the hidden line; it is skipped, so only q-1 members are asked."""
+    hyperplane of the full space with its mask, and the member inferred
+    when every ask gets NO.  known_not, when given, is a hyperplane of ctx
+    known not to contain the hidden line; it is skipped, so only q-1
+    members are asked."""
     q, n = ctx.q, ctx.n
     base = known_not if known_not is not None else ctx
     u = Subspace(q, n, base.basis[: ctx.k - 2])
@@ -303,7 +308,8 @@ def _round(ctx: Subspace, known_not: Subspace | None):
     # full space whose intersection with ctx is exactly w
     comp = tuple(basis_extension(ctx, Subspace.full(q, n).basis))
     asks = tuple(Subspace.span(q, n, w.basis + comp) for w in to_ask)
-    return u, to_ask, asks, fallback
+    masks = tuple(map(geometry(n, q).mask, asks))
+    return u, to_ask, asks, masks, fallback
 
 
 class InductiveSearcher:
@@ -323,27 +329,26 @@ class InductiveSearcher:
         self.name = "inductive"
 
     def decide(self, view: GameView):
-        if view.candidates.bit_count() == 1:
-            return ("announce", view.geom.lowest_point(view.candidates))
-        ctx, known_not, j = Subspace.full(self.q, self.n), None, 0
-        u, to_ask, asks, fallback = _round(ctx, known_not)
-        # a NO moves on to the next member of the round's pencil; a YES, or
-        # a NO to the last one, descends into a member and starts a round
-        for _, ans in view.history:
-            if not ans.yes and j + 1 < len(to_ask):
-                j += 1
-                continue
-            if ans.yes:
-                ctx, known_not = to_ask[j], (None if j == 0 and known_not is None else u)
+        cand = view.candidates
+        if cand.bit_count() == 1:
+            return ("announce", view.geom.lowest_point(cand))
+        ctx, known_not = Subspace.full(self.q, self.n), None
+        # walk the plan from the full space: a member holding no candidate
+        # got a NO, so the round moves on; the plan descends into a member
+        # holding them all, which got a YES, or into the fallback once every
+        # member got a NO.  The first member that splits them is asked next.
+        while ctx.k > 1:
+            u, to_ask, asks, masks, fallback = _round(ctx, known_not)
+            for j, m in enumerate(masks):
+                inside = cand & m
+                if inside == cand:
+                    ctx, known_not = to_ask[j], (None if j == 0 and known_not is None else u)
+                    break
+                if inside:
+                    return ("ask", asks[j])
             else:
                 ctx, known_not = fallback, u
-            if ctx.k == 1:
-                break
-            j = 0
-            u, to_ask, asks, fallback = _round(ctx, known_not)
-        if ctx.k == 1:
-            raise InternalInconsistency("plan finished with more than one consistent point")
-        return ("ask", asks[j])
+        raise InternalInconsistency("plan finished with more than one consistent point")
 
 
 class TwoRoundSearcher:
@@ -358,17 +363,18 @@ class TwoRoundSearcher:
         self.name = "two-round"
 
     def decide(self, view: GameView):
-        n, q = self.n, self.q
-        hist = view.history
-        if len(hist) < n:
-            return ("ask", coordinate_hyperplane(q, n, len(hist)))
-        nz = [i for i in range(n) if not hist[i][1].yes]
+        n, q, asked = self.n, self.q, view.asked
+        if asked < n:
+            return ("ask", coordinate_hyperplane(q, n, asked))
+        # the first batch leaves the candidates of a single zero pattern
+        low = view.geom.lowest_point(view.candidates)
+        nz = [i for i in range(n) if low[i]]
         if q > 2 and len(nz) > 1:
             # the script asks v_j = lam * v_c for each later j, lam = 1..q-2
-            pos, lam = divmod(len(hist) - n, q - 2)
+            pos, lam = divmod(asked - n, q - 2)
             if pos < len(nz) - 1:
                 return ("ask", ratio_hyperplane(q, n, nz[0], nz[1 + pos], lam + 1))
-        return ("announce", view.geom.lowest_point(view.candidates))
+        return ("announce", low)
 
 
 class RandomLineSearcher:
@@ -384,9 +390,9 @@ class RandomLineSearcher:
         self.order = order
 
     def decide(self, view: GameView):
-        if view.candidates.bit_count() == 1 or len(view.history) >= len(self.order):
+        if view.candidates.bit_count() == 1 or view.asked >= len(self.order):
             return ("announce", view.geom.lowest_point(view.candidates))
-        return ("ask", self.order[len(view.history)])
+        return ("ask", self.order[view.asked])
 
 
 # ---------------------------------------------------------------------------

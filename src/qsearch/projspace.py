@@ -397,9 +397,6 @@ class Geometry:
                 base, reps = _join(F, [base(t) * reps for t in ys], F.neg(c)), 1
         return int("".join(blocks)[::-1], 2)
 
-    def point_mask(self, p: tuple[int, ...]) -> int:
-        return 1 << self.rank(normalize(self.q, p))
-
     def pencil(self, u: Subspace) -> list[Subspace]:
         """The q+1 hyperplanes containing a subspace of dimension n-2,
         sorted by basis tuple."""

@@ -221,10 +221,6 @@ def random_construction_trace(
     )
 
 
-def random_construction(n: int, q: int, seed: int, max_retries: int = 64) -> QuerySet:
-    return random_construction_trace(n, q, seed, max_retries)[0]
-
-
 def unseparated_pencil_count(n: int, q: int) -> int:
     """For any fixed pair of distinct points, the number of (n-2)-dimensional
     subspaces whose full pencil of hyperplanes fails to tell them apart."""

@@ -5,6 +5,8 @@ import pytest
 
 from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
 from qsearch.game import (
+    NO,
+    YES,
     AdversaryOracle,
     Answer,
     BadAnnounce,
@@ -19,13 +21,14 @@ from qsearch.game import (
     TwoRoundSearcher,
     _completions,
     _narrow,
+    _round,
     oracle_from_name,
     replay,
     run_game,
     searcher_from_name,
     sweep,
 )
-from qsearch.separating import coordinate_hyperplane
+from qsearch.separating import coordinate_hyperplane, ratio_hyperplane
 
 
 def sweep_max(searcher_name: str, n: int, q: int) -> int:
@@ -85,7 +88,7 @@ def test_inductive_within_bound():
 
 def test_inductive_first_query_is_history_function():
     geom = geometry(3, 3)
-    view0 = GameView(3, 3, geom, (), geom.full_mask)
+    view0 = GameView(geom, 0, geom.full_mask)
     q1 = InductiveSearcher(3, 3).decide(view0)
     q2 = InductiveSearcher(3, 3).decide(view0)
     assert q1 == q2
@@ -102,8 +105,8 @@ PURITY_CASES = [
 @pytest.mark.parametrize("name,n,q", PURITY_CASES)
 def test_searchers_are_pure_over_the_answer_tree(name, n, q):
     # the sweep walks every consistent YES/NO branch with one instance, so
-    # after each backtrack its next history does not extend the last one;
-    # a fresh instance must decide the same at every node
+    # after each backtrack its next node does not extend the last one; a
+    # fresh instance must decide the same at every node
     searcher = searcher_from_name(name, n, q)
 
     class Checked:
@@ -153,6 +156,100 @@ def test_sweep_matches_per_point_games(name, n, q):
     assert sweep(searcher, n, q) == per_point_games(searcher, n, q)
 
 
+# The searchers as first written, deciding from the history of (query,
+# answer) pairs: the test oracles for the searchers that read the mask.
+
+
+def _plane_by_history(n, q, geom, history, cand):
+    if cand.bit_count() == 1:
+        return ("announce", geom.lowest_point(cand))
+    pencil = geom.pencil(Subspace.span(q, 3, [geom.points[0]]))
+    got_yes = any(a.yes for _, a in history)
+    if not got_yes and len(history) < q:
+        return ("ask", pencil[len(history)])
+    return ("ask", Subspace.span(q, 3, [geom.lowest_point(cand)]))
+
+
+def _inductive_by_history(n, q, geom, history, cand):
+    if cand.bit_count() == 1:
+        return ("announce", geom.lowest_point(cand))
+    ctx, known_not, j = Subspace.full(q, n), None, 0
+    u, to_ask, asks, _, fallback = _round(ctx, known_not)
+    for _, ans in history:
+        if not ans.yes and j + 1 < len(to_ask):
+            j += 1
+            continue
+        if ans.yes:
+            ctx, known_not = to_ask[j], (None if j == 0 and known_not is None else u)
+        else:
+            ctx, known_not = fallback, u
+        if ctx.k == 1:
+            break
+        j = 0
+        u, to_ask, asks, _, fallback = _round(ctx, known_not)
+    if ctx.k == 1:
+        raise InternalInconsistency("plan finished with more than one consistent point")
+    return ("ask", asks[j])
+
+
+def _two_round_by_history(n, q, geom, history, cand):
+    if len(history) < n:
+        return ("ask", coordinate_hyperplane(q, n, len(history)))
+    nz = [i for i in range(n) if not history[i][1].yes]
+    if q > 2 and len(nz) > 1:
+        pos, lam = divmod(len(history) - n, q - 2)
+        if pos < len(nz) - 1:
+            return ("ask", ratio_hyperplane(q, n, nz[0], nz[1 + pos], lam + 1))
+    return ("announce", geom.lowest_point(cand))
+
+
+BY_HISTORY = {
+    "plane": _plane_by_history,
+    "inductive": _inductive_by_history,
+    "two-round": _two_round_by_history,
+}
+
+
+def _walk_both(name, n, q, respond):
+    """Play the searcher and its history-reading oracle side by side from
+    the root, tracking the history and the candidate mask, and assert the
+    same decision at every node; respond(query, history) lists the answers
+    to follow.  Returns the number of nodes."""
+    geom = geometry(n, q)
+    searcher, oracle = searcher_from_name(name, n, q), BY_HISTORY[name]
+    stack, nodes = [((), geom.full_mask)], 0
+    while stack:
+        history, cand = stack.pop()
+        assert len(history) <= len(geom.points)
+        got = searcher.decide(GameView(geom, len(history), cand))
+        assert got == oracle(n, q, geom, history, cand), (name, n, q, history)
+        nodes += 1
+        if got[0] == "ask":
+            for ans in respond(got[1], history):
+                sub = _narrow(geom, cand, got[1], ans)
+                if sub:
+                    stack.append((history + ((got[1], ans),), sub))
+    return nodes
+
+
+DIFF_CASES = [case for case in SWEEP_CASES if case[0] in BY_HISTORY]
+
+
+@pytest.mark.parametrize("name,n,q", DIFF_CASES)
+def test_searchers_decide_as_the_history_readers_on_every_node(name, n, q):
+    points = len(geometry(n, q).points)
+    # each point's game ends in its own announcement, a node of its own
+    assert _walk_both(name, n, q, lambda query, history: (NO, YES)) >= points
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_searchers_decide_as_the_history_readers_against_the_adversary(q):
+    for name in BY_HISTORY:
+        adversary = AdversaryOracle(q)
+        nodes = _walk_both(name, 3, q, lambda query, history: (adversary.answer(query, history),))
+        assert nodes >= 2 * q  # 2q-1 queries and the announcement
+
+
 class Stubborn:
     """Wastes its queries on purpose: announces a lone candidate, and
     otherwise asks z = 0 again, which splits nothing after the first time."""
@@ -162,7 +259,8 @@ class Stubborn:
     def decide(self, view):
         if view.candidates.bit_count() == 1:
             return ("announce", view.geom.lowest_point(view.candidates))
-        return ("ask", coordinate_hyperplane(view.q, view.n, view.n - 1))
+        n, q = view.geom.n, view.geom.q
+        return ("ask", coordinate_hyperplane(q, n, n - 1))
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 3)])
@@ -172,6 +270,11 @@ def test_sweep_aborts_games_at_the_point_count(n, q):
     points = len(geometry(n, q).points)
     aborted = [c for _, c, found in games if not found]
     assert aborted and set(aborted) == {points}
+    # a game is aborted, not refereed, once the point count is spent
+    p = next(p for p, _, found in games if not found)
+    t = run_game(Stubborn(), FixedOracle(q, p), n, q)
+    assert t.outcome == {"aborted": "query-limit"} and t.identified is None
+    assert t.count == len(t.entries) == points
     # over a line z = 0 is one point, identified after one query; in the
     # plane it holds four, and every game aborts
     assert {(c, found) for _, c, found in games if found} == (
@@ -190,11 +293,14 @@ class Misbehaving:
         self.moves = moves
 
     def decide(self, view):
-        if not view.history:
-            return ("ask", coordinate_hyperplane(view.q, view.n, view.n - 1))
-        if self.moves[view.history[0][1].yes] == "announce":
-            return ("announce", view.geom.lowest_point(view.candidates))
-        return ("ask", Subspace.full(view.q, view.n))
+        geom = view.geom
+        z0 = coordinate_hyperplane(geom.q, geom.n, geom.n - 1)
+        if not view.asked:
+            return ("ask", z0)
+        yes = view.candidates & ~geom.mask(z0) == 0
+        if self.moves[yes] == "announce":
+            return ("announce", geom.lowest_point(view.candidates))
+        return ("ask", Subspace.full(geom.q, geom.n))
 
 
 @pytest.mark.parametrize(
@@ -211,12 +317,25 @@ def test_sweep_raises_the_error_the_first_game_meets(moves):
     assert str(swept.value) == str(first.value)
 
 
-def test_inductive_point_context_with_open_candidates_is_inconsistent():
-    geom = geometry(2, 2)
-    _, first = InductiveSearcher(2, 2).decide(GameView(2, 2, geom, (), geom.full_mask))
-    view = GameView(2, 2, geom, ((first, Answer(True)),), geom.full_mask)
-    with pytest.raises(InternalInconsistency, match="more than one consistent point"):
-        InductiveSearcher(2, 2).decide(view)
+MASK_CASES = [("inductive", n, q) for n, q in ((2, 3), (2, 4), (3, 2), (3, 3), (4, 2))]
+MASK_CASES += [("plane", 3, q) for q in (2, 3)]
+
+
+@pytest.mark.parametrize("name,n,q", MASK_CASES)
+def test_every_candidate_mask_gets_an_announcement_or_a_split(name, n, q):
+    # any nonempty mask, reachable or not: a lone candidate is announced,
+    # and otherwise the query leaves candidates on both sides.  So the
+    # inductive plan never descends to a point with candidates to spare,
+    # and its InternalInconsistency guard cannot fire
+    geom = geometry(n, q)
+    searcher = searcher_from_name(name, n, q)
+    for cand in range(1, geom.full_mask + 1):
+        kind, got = searcher.decide(GameView(geom, 0, cand))
+        if cand & (cand - 1) == 0:
+            assert (kind, got) == ("announce", geom.lowest_point(cand))
+        else:
+            m = geom.mask(got)
+            assert kind == "ask" and cand & m and cand & ~m, (cand, got)
 
 
 def test_random_lines_searcher_identifies():
@@ -259,8 +378,8 @@ def test_volunteered_lines_recorded_in_transcript():
             self.inner = PlaneSearcher(q)
 
         def decide(self, view):
-            if not view.history:
-                return ("ask", Subspace.span(view.q, 3, [(1, 1, 1)]))
+            if not view.asked:
+                return ("ask", Subspace.span(view.geom.q, 3, [(1, 1, 1)]))
             return self.inner.decide(view)
 
     t = run_game(PointProber(3), AdversaryOracle(3), 3, 3)
@@ -313,7 +432,7 @@ def test_completions_of_small_masks(q):
     assert geom.mask(ln).bit_count() == q + 1
     assert _completions(geom, geom.mask(ln)) == [ln]
     # one point more than a line holds: the early exit
-    beyond = geom.mask(ln) | geom.point_mask((1, 0, 0))
+    beyond = geom.mask(ln) | 1 << geom.rank((1, 0, 0))
     assert beyond.bit_count() == q + 2
     assert _completions(geom, beyond) == []
 
@@ -396,7 +515,7 @@ class RandomProber:
         cand = view.candidates
         if cand.bit_count() == 1:
             return ("announce", view.geom.lowest_point(cand))
-        rng = random.Random(f"{self.seed}:{len(view.history)}:{cand}")
+        rng = random.Random(f"{self.seed}:{view.asked}:{cand}")
         pool = view.geom.subspaces(1) + view.geom.subspaces(2)
         splits = [s for s in pool if 0 != cand & view.geom.mask(s) != cand]
         return ("ask", rng.choice(splits))
@@ -492,13 +611,6 @@ def test_transcript_from_json_rejects_malformed(doc, problem):
         Transcript.from_json(json.dumps(doc))
 
 
-def test_query_limit_aborts():
-    t = run_game(RandomLineSearcher(3, 3, 0), FixedOracle(3, (1, 1, 1)), 3, 3, limit=1)
-    assert t.outcome == {"aborted": "query-limit"}
-    assert t.count == 1
-    assert t.identified is None
-
-
 def test_bad_announce_guard():
     class Eager:
         name = "eager"
@@ -524,8 +636,8 @@ def test_inconsistent_oracle_guard():
 
         def decide(self, view):
             x = view.geom.points[0]
-            pencil = view.geom.pencil(Subspace.span(view.q, 3, [x]))
-            return ("ask", pencil[len(view.history)])
+            pencil = view.geom.pencil(Subspace.span(view.geom.q, 3, [x]))
+            return ("ask", pencil[view.asked])
 
     with pytest.raises(InconsistentOracle):
         run_game(PencilSweeper(), Liar(), 3, 2)

@@ -278,8 +278,8 @@ def test_geometry_masks():
         p for p in geom.points if line.contains(p)
     ]
     p = (1, 2, 0)
-    assert geom.point_mask(p).bit_count() == 1
-    assert geom.lowest_point(geom.point_mask(p)) == p
+    assert (1 << geom.rank(p)).bit_count() == 1
+    assert geom.lowest_point(1 << geom.rank(p)) == p
     assert geom.lowest_point(m) == next(x for x in geom.points if line.contains(x))
 
 

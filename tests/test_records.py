@@ -2,7 +2,7 @@
 replaced.
 
 The dataclass definitions below are the oracle, field for field as the
-records were declared before.  Every record is built both ways from the
+records are declared.  Every record is built both ways from the
 same values, by position and by keyword, and the two must agree on ==,
 hash, repr, field values, defaults and read-only fields."""
 
@@ -33,10 +33,8 @@ class Answer:
 
 @dataclass(frozen=True)
 class GameView:
-    n: int
-    q: int
     geom: object
-    history: tuple
+    asked: int
     candidates: int
 
 
@@ -141,12 +139,12 @@ CASES = [
         (True, ("in-line", LINE)),
     ]),
     (game.GameView, GameView, [
-        (3, 3, G33, (), G33.full_mask),
-        (3, 3, G33, (), 1),
-        (3, 3, G33, ((PLANE, game.YES),), 1),
-        (3, 3, G33, ((PLANE, game.NO),), 1),
-        (3, 2, G33, (), 1),
-        (2, 3, G33, (), 1),
+        (G33, 0, G33.full_mask),
+        (G33, 0, 1),
+        (G33, 1, 1),
+        (G33, 2, 1),
+        (geometry(3, 2), 0, 1),
+        (geometry(2, 3), 0, 1),
     ]),
     (game.Transcript, Transcript, [
         _values(T, Transcript),

@@ -19,7 +19,6 @@ from qsearch.separating import (
     is_separating,
     minimal_subsystem,
     points_to_lines,
-    random_construction,
     random_construction_trace,
     ratio_hyperplane,
     separating_witness,
@@ -150,8 +149,8 @@ def test_explicit_construction(n, q, size):
 
 
 def test_random_construction_reproducible():
-    a = random_construction(3, 3, seed=11)
-    b = random_construction(3, 3, seed=11)
+    a = random_construction_trace(3, 3, seed=11)[0]
+    b = random_construction_trace(3, 3, seed=11)[0]
     assert a.queries == b.queries
     assert len(a) == 2 * 3 * 3
     assert is_separating(a)
@@ -167,7 +166,7 @@ def test_random_construction_trace_reports_attempts():
 
 def test_random_construction_needs_three_dims():
     with pytest.raises(WrongDimension):
-        random_construction(2, 5, seed=1)
+        random_construction_trace(2, 5, seed=1)[0]
 
 
 def test_random_construction_can_exhaust():
@@ -207,7 +206,7 @@ def _unseparated_by_masks(n, q, u, v):
     """Reference count that does not use `signatures`: compare the two point
     masks against every member of every pencil."""
     geom = geometry(n, q)
-    mu, mv = geom.point_mask(u), geom.point_mask(v)
+    mu, mv = 1 << geom.rank(u), 1 << geom.rank(v)
     return sum(
         all(bool(geom.mask(h) & mu) == bool(geom.mask(h) & mv) for h in geom.pencil(s))
         for s in geom.subspaces(n - 2)
