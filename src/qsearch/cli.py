@@ -30,6 +30,7 @@ from .game import (
 from .gf import NotAPrimePower, is_prime_power
 from .projspace import TooLarge, gaussian_binomial, geometry, point_count
 from .separating import (
+    BRUTE_SIZE_CAP,
     Exhausted,
     QuerySet,
     brute_force_minimum,
@@ -297,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = osub.add_parser("brute-min", help="exact minimum separating-system size")
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--q", type=int, required=True)
-    pb.add_argument("--max", type=int, default=8, help="largest size to try")
+    pb.add_argument("--max", type=int, default=BRUTE_SIZE_CAP, help="largest size to try")
     pb.add_argument(
         "--all-dims",
         action="store_true",

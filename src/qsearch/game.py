@@ -90,49 +90,26 @@ class Transcript(Record):
         _set(self, "outcome", outcome)
         _set(self, "count", count)
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "q": self.q,
-            "searcher": self.searcher,
-            "oracle": self.oracle,
-            "entries": list(self.entries),
-            "outcome": self.outcome,
-            "count": self.count,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+    # the JSON type of each field, in _fields order
+    _TYPES = (int, int, str, str, list, dict, int)
 
-    _KEYS = {
-        "n": int,
-        "q": int,
-        "searcher": str,
-        "oracle": str,
-        "entries": list,
-        "outcome": dict,
-        "count": int,
-    }
+    def to_json(self) -> str:
+        return json.dumps(dict(zip(self._fields, self._values())), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "Transcript":
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("transcript must be a JSON object")
-        for key, kind in Transcript._KEYS.items():
+        for key, kind in zip(Transcript._fields, Transcript._TYPES):
             if key not in d:
                 raise ValueError(f"transcript is missing key {key!r}")
             if not isinstance(d[key], kind):
                 raise ValueError(f"transcript key {key!r} must be a {kind.__name__}")
         if d["n"] < 2:
             raise ValueError(f"transcript has n={d['n']}, need n >= 2")
-        return Transcript(
-            n=d["n"],
-            q=d["q"],
-            searcher=d["searcher"],
-            oracle=d["oracle"],
-            entries=tuple(d["entries"]),
-            outcome=d["outcome"],
-            count=d["count"],
-        )
+        d["entries"] = tuple(d["entries"])
+        return Transcript(*[d[key] for key in Transcript._fields])
 
     @property
     def identified(self) -> tuple[int, ...] | None:
@@ -140,11 +117,12 @@ class Transcript(Record):
         return tuple(got) if got is not None else None
 
 
-def _rule(geom: Geometry, decision, cand: int, asked: int, limit: int):
+def _rule(geom: Geometry, decision, cand: int, asked: int):
     """Referee one decision of a searcher that has asked `asked` queries and
     left the candidates `cand`: ("identified", point) for a sound
-    announcement, ("ask", query) for a legal query within the limit, or
-    ("aborted", None) once the limit is spent."""
+    announcement, ("ask", query) for a legal query, or ("aborted", None)
+    once as many queries as there are points are spent (asking every point
+    one by one always suffices)."""
     kind, payload = decision
     if kind == "announce":
         p = normalize(geom.q, payload)
@@ -158,24 +136,21 @@ def _rule(geom: Geometry, decision, cand: int, asked: int, limit: int):
         )
     if not 1 <= qry.k <= geom.n - 1:
         raise WrongDimension(f"query dimension {qry.k} outside [1, {geom.n - 1}]")
-    if asked >= limit:
+    if asked >= len(geom.points):
         return ("aborted", None)
     return ("ask", qry)
 
 
 def run_game(searcher, oracle, n: int, q: int) -> Transcript:
-    """Referee one game.  Announcing costs nothing; a game is aborted once
-    it has asked as many queries as there are points (asking every point
-    one by one always suffices).  The history of (query, answer) pairs is
-    kept for the oracle only."""
+    """Referee one game by `_rule`.  Announcing costs nothing.  The history
+    of (query, answer) pairs is kept for the oracle only."""
     geom = geometry(n, q)
-    limit = len(geom.points)
     cand = geom.full_mask
     history: tuple[tuple[Subspace, Answer], ...] = ()
     entries: list[dict] = []
     while True:
         view = GameView(geom, len(history), cand)
-        kind, got = _rule(geom, searcher.decide(view), cand, len(history), limit)
+        kind, got = _rule(geom, searcher.decide(view), cand, len(history))
         if kind == "identified":
             outcome = {"identified": list(got)}
             break
@@ -219,13 +194,12 @@ def sweep(searcher, n: int, q: int) -> list[tuple]:
     order the per-point games first reach them: the first node that raises
     raises the error those games would meet first."""
     geom = geometry(n, q)
-    limit = len(geom.points)
-    out: list = [None] * limit
+    out: list = [None] * len(geom.points)
     pending = [(0, 0, geom.full_mask)]  # (lowest candidate, asked, candidates)
     while pending:
         low, asked, cand = heapq.heappop(pending)
         view = GameView(geom, asked, cand)
-        kind, got = _rule(geom, searcher.decide(view), cand, asked, limit)
+        kind, got = _rule(geom, searcher.decide(view), cand, asked)
         if kind == "ask":
             m = geom.mask(got)
             for sub in (cand & ~m, cand & m):
@@ -283,8 +257,8 @@ class PlaneSearcher:
                 break
             if inside:
                 return ("ask", ln)
-        probe = view.geom.lowest_point(cand)
-        return ("ask", Subspace.span(self.q, 3, [probe]))
+        # a canonical point is the echelon basis of its own span
+        return ("ask", Subspace(self.q, 3, (view.geom.lowest_point(cand),)))
 
 
 @lru_cache(maxsize=None)
@@ -417,20 +391,20 @@ class FixedOracle:
         return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
+@lru_cache(maxsize=None)
+def _plane_lines(q: int) -> tuple[tuple[Subspace, int], ...]:
+    """Every line of PG(2, q) with its mask, in lexicographic basis order."""
+    geom = geometry(3, q)
+    lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
+    return tuple((ln, geom.mask(ln)) for ln in lines)
+
+
 def _completions(geom: Geometry, unc: int) -> list[Subspace]:
     """The lines holding every point of the mask unc, in lexicographic basis
-    order: all of them when unc is empty, the pencil of a lone point, and
-    otherwise at most the line through its two lowest points."""
-    if unc == 0:
-        return sorted(geom.subspaces(2), key=lambda s: s.basis)
+    order."""
     if unc.bit_count() > geom.q + 1:  # more than a line holds
         return []
-    p1 = geom.lowest_point(unc)
-    if unc.bit_count() == 1:
-        return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
-    p2 = geom.lowest_point(unc & (unc - 1))
-    ln = Subspace.span(geom.q, 3, [p1, p2])
-    return [ln] if (geom.mask(ln) & unc) == unc else []
+    return [ln for ln, m in _plane_lines(geom.q) if unc & m == unc]
 
 
 class AdversaryOracle:
@@ -465,12 +439,12 @@ class AdversaryOracle:
         if query.k == 2:
             return YES if _completions(geom, cand & ~m) else NO
         # point question: volunteer a line constraint instead
-        pencil = geom.pencil(query)
-        for ln in pencil:
-            if not _completions(geom, cand & ~geom.mask(ln)):
+        pencil = [(ln, lm) for ln, lm in _plane_lines(self.q) if lm & m]
+        for ln, lm in pencil:
+            if not _completions(geom, cand & ~lm):
                 return Answer(False, ("not-in-line", ln))
-        for ln in pencil:
-            for lstar in _completions(geom, cand & ~geom.mask(ln)):
+        for ln, lm in pencil:
+            for lstar in _completions(geom, cand & ~lm):
                 if not geom.mask(lstar) & m:
                     return Answer(False, ("in-line", lstar))
         raise InternalInconsistency("no consistent deflection for a point question")

@@ -194,9 +194,11 @@ def _random_subspace(rng: random.Random, n: int, q: int, k: int) -> Subspace:
             return s
 
 
-def random_construction_trace(
-    n: int, q: int, seed: int, max_retries: int = 64
-) -> tuple[QuerySet, int]:
+# attempts random_construction_trace makes before it gives up
+MAX_RETRIES = 64
+
+
+def random_construction_trace(n: int, q: int, seed: int) -> tuple[QuerySet, int]:
     """Random pencil construction; returns the system and the attempt count.
 
     Each attempt draws 2n independent uniform (n-2)-dimensional subspaces
@@ -208,7 +210,7 @@ def random_construction_trace(
     geom = geometry(n, q)
     rng = random.Random(f"construct:{seed}")
     label = f"random:seed={seed},l={2 * n}"
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         queries = []
         for _ in range(2 * n):
             u = _random_subspace(rng, n, q, n - 2)
@@ -217,7 +219,7 @@ def random_construction_trace(
         if is_separating(qs):
             return qs, attempt
     raise RetriesExhausted(
-        f"no separating system for n={n} q={q} seed={seed} in {max_retries} attempts"
+        f"no separating system for n={n} q={q} seed={seed} in {MAX_RETRIES} attempts"
     )
 
 

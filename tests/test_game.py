@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qsearch import game
 from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
 from qsearch.game import (
     NO,
@@ -437,17 +438,56 @@ def test_completions_of_small_masks(q):
     assert _completions(geom, beyond) == []
 
 
-def _line_completions(geom, lines):
-    """Lines h such that lines + [h] cover every point of the plane."""
-    unc = _uncovered(geom, lines)
+def _completions_by_cases(geom, unc):
+    """_completions as first shipped, the test oracle for the line table:
+    every line for an empty mask, the pencil of a lone point, and otherwise
+    at most the line through the two lowest points."""
     if unc == 0:
         return sorted(geom.subspaces(2), key=lambda s: s.basis)
+    if unc.bit_count() > geom.q + 1:
+        return []
     p1 = geom.lowest_point(unc)
     if unc.bit_count() == 1:
         return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
     p2 = geom.lowest_point(unc & (unc - 1))
     ln = Subspace.span(geom.q, 3, [p1, p2])
     return [ln] if (geom.mask(ln) & unc) == unc else []
+
+
+def _line_completions(geom, lines):
+    """Lines h such that lines + [h] cover every point of the plane."""
+    return _completions_by_cases(geom, _uncovered(geom, lines))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_completions_filter_the_basis_sorted_lines(q, monkeypatch):
+    geom = geometry(3, q)
+    lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
+    bits = [1 << i for i in range(len(geom.points))]
+    rng = random.Random(f"completions:{q}")
+    masks = [sum(rng.sample(bits, k)) for k in range(q + 3) for _ in range(40)]
+    for ln in lines:
+        m = geom.mask(ln)
+        masks.append(m)
+        masks += [m & ~b for b in bits if m & b]
+        masks += [m | b for b in bits if not m & b]
+    for m in masks:
+        want = [ln for ln in lines if geom.mask(ln) & m == m]
+        assert _completions(geom, m) == want == _completions_by_cases(geom, m)
+    # a mask of more points than a line holds never reaches the table
+    monkeypatch.setattr(game, "_plane_lines", None)
+    for m in masks:
+        if m.bit_count() > q + 1:
+            assert _completions(geom, m) == []
+
+
+@pytest.mark.parametrize("n,q", ((3, 9), (4, 4), (5, 3)))
+def test_a_canonical_point_is_its_own_echelon_basis(n, q):
+    # the plane searcher asks its probe as Subspace(q, n, (p,))
+    for p in geometry(n, q).points:
+        probe = Subspace(q, n, (p,))
+        assert probe == Subspace.span(q, n, [p])
+        assert probe.literal() == Subspace.span(q, n, [p]).literal()
 
 
 class _ReplayAdversary:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsearch import separating
 from qsearch.gf import field
 from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
 from qsearch.separating import (
@@ -169,10 +170,11 @@ def test_random_construction_needs_three_dims():
         random_construction_trace(2, 5, seed=1)[0]
 
 
-def test_random_construction_can_exhaust():
+def test_random_construction_can_exhaust(monkeypatch):
     # zero retries allowed is a guaranteed failure
-    with pytest.raises(RetriesExhausted):
-        random_construction_trace(3, 2, seed=0, max_retries=0)
+    monkeypatch.setattr(separating, "MAX_RETRIES", 0)
+    with pytest.raises(RetriesExhausted, match="in 0 attempts"):
+        random_construction_trace(3, 2, seed=0)
 
 
 def test_unseparated_pencil_count_frozen():
