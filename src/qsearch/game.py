@@ -391,20 +391,21 @@ class FixedOracle:
         return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
-@lru_cache(maxsize=None)
-def _plane_lines(q: int) -> tuple[tuple[Subspace, int], ...]:
-    """Every line of PG(2, q) with its mask, in lexicographic basis order."""
-    geom = geometry(3, q)
-    lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
-    return tuple((ln, geom.mask(ln)) for ln in lines)
-
-
 def _completions(geom: Geometry, unc: int) -> list[Subspace]:
     """The lines holding every point of the mask unc, in lexicographic basis
-    order."""
+    order: all of them when unc is empty, the pencil of a lone point, and
+    otherwise at most the line through its two lowest points.  So a call
+    builds at most the q+1 masks of one pencil, and a game O(q) masks."""
+    if unc == 0:
+        return sorted(geom.subspaces(2), key=lambda s: s.basis)
     if unc.bit_count() > geom.q + 1:  # more than a line holds
         return []
-    return [ln for ln, m in _plane_lines(geom.q) if unc & m == unc]
+    p1 = geom.lowest_point(unc)
+    if unc.bit_count() == 1:
+        # a canonical point is the echelon basis of its own span
+        return list(geom.pencil(Subspace(geom.q, 3, (p1,))))
+    ln = Subspace.span(geom.q, 3, [p1, geom.lowest_point(unc & (unc - 1))])
+    return [ln] if geom.mask(ln) & unc == unc else []
 
 
 class AdversaryOracle:
@@ -439,12 +440,12 @@ class AdversaryOracle:
         if query.k == 2:
             return YES if _completions(geom, cand & ~m) else NO
         # point question: volunteer a line constraint instead
-        pencil = [(ln, lm) for ln, lm in _plane_lines(self.q) if lm & m]
-        for ln, lm in pencil:
-            if not _completions(geom, cand & ~lm):
+        pencil = geom.pencil(query)
+        for ln in pencil:
+            if not _completions(geom, cand & ~geom.mask(ln)):
                 return Answer(False, ("not-in-line", ln))
-        for ln, lm in pencil:
-            for lstar in _completions(geom, cand & ~lm):
+        for ln in pencil:
+            for lstar in _completions(geom, cand & ~geom.mask(ln)):
                 if not geom.mask(lstar) & m:
                     return Answer(False, ("in-line", lstar))
         raise InternalInconsistency("no consistent deflection for a point question")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qsearch import game
-from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
+from qsearch.projspace import DimensionMismatch, Geometry, Subspace, WrongDimension, geometry
 from qsearch.game import (
     NO,
     YES,
@@ -371,18 +371,21 @@ def test_adversary_volunteers_on_point_query():
     assert line.k == 2
 
 
+class PointProber:
+    """The plane searcher after a first point question."""
+
+    name = "point-prober"
+
+    def __init__(self, q):
+        self.inner = PlaneSearcher(q)
+
+    def decide(self, view):
+        if not view.asked:
+            return ("ask", Subspace.span(view.geom.q, 3, [(1, 1, 1)]))
+        return self.inner.decide(view)
+
+
 def test_volunteered_lines_recorded_in_transcript():
-    class PointProber:
-        name = "point-prober"
-
-        def __init__(self, q):
-            self.inner = PlaneSearcher(q)
-
-        def decide(self, view):
-            if not view.asked:
-                return ("ask", Subspace.span(view.geom.q, 3, [(1, 1, 1)]))
-            return self.inner.decide(view)
-
     t = run_game(PointProber(3), AdversaryOracle(3), 3, 3)
     assert t.identified is not None
     assert "volunteered" in t.entries[0]
@@ -438,29 +441,16 @@ def test_completions_of_small_masks(q):
     assert _completions(geom, beyond) == []
 
 
-def _completions_by_cases(geom, unc):
-    """_completions as first shipped, the test oracle for the line table:
-    every line for an empty mask, the pencil of a lone point, and otherwise
-    at most the line through the two lowest points."""
-    if unc == 0:
-        return sorted(geom.subspaces(2), key=lambda s: s.basis)
-    if unc.bit_count() > geom.q + 1:
-        return []
-    p1 = geom.lowest_point(unc)
-    if unc.bit_count() == 1:
-        return list(geom.pencil(Subspace.span(geom.q, 3, [p1])))
-    p2 = geom.lowest_point(unc & (unc - 1))
-    ln = Subspace.span(geom.q, 3, [p1, p2])
-    return [ln] if (geom.mask(ln) & unc) == unc else []
-
-
 def _line_completions(geom, lines):
-    """Lines h such that lines + [h] cover every point of the plane."""
-    return _completions_by_cases(geom, _uncovered(geom, lines))
+    """Lines h such that lines + [h] cover every point of the plane, by a
+    filter of every line in basis order: the test oracle for _completions."""
+    unc = _uncovered(geom, lines)
+    lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
+    return [ln for ln in lines if geom.mask(ln) & unc == unc]
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
-def test_completions_filter_the_basis_sorted_lines(q, monkeypatch):
+def test_completions_filter_the_basis_sorted_lines(q):
     geom = geometry(3, q)
     lines = sorted(geom.subspaces(2), key=lambda s: s.basis)
     bits = [1 << i for i in range(len(geom.points))]
@@ -472,13 +462,19 @@ def test_completions_filter_the_basis_sorted_lines(q, monkeypatch):
         masks += [m & ~b for b in bits if m & b]
         masks += [m | b for b in bits if not m & b]
     for m in masks:
-        want = [ln for ln in lines if geom.mask(ln) & m == m]
-        assert _completions(geom, m) == want == _completions_by_cases(geom, m)
-    # a mask of more points than a line holds never reaches the table
-    monkeypatch.setattr(game, "_plane_lines", None)
-    for m in masks:
-        if m.bit_count() > q + 1:
-            assert _completions(geom, m) == []
+        assert _completions(geom, m) == [ln for ln in lines if geom.mask(ln) & m == m]
+
+
+@pytest.mark.parametrize("name", ("plane", "inductive", "point-prober"))
+def test_adversary_games_build_linearly_many_masks(name, monkeypatch):
+    # a game costs O(q) line masks, not the q^2 + q + 1 of every line
+    q = 101
+    geom = Geometry(3, q)
+    monkeypatch.setattr(game, "geometry", lambda n, q: geom)
+    s = PointProber(q) if name == "point-prober" else searcher_from_name(name, 3, q)
+    t = run_game(s, AdversaryOracle(q), 3, q)
+    assert t.identified is not None and t.count >= 2 * q - 1
+    assert len(geom._mask_cache) <= 4 * (q + 1), len(geom._mask_cache)
 
 
 @pytest.mark.parametrize("n,q", ((3, 9), (4, 4), (5, 3)))
