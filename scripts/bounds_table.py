@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Tabulate adaptive and non-adaptive query-count brackets over an (n, q)
 grid.  Emits one CSV row per bound so the output loads straight into a
-dataframe; non-prime-power orders in the grid are skipped with a note on
-stderr."""
+dataframe; non-prime-power orders, and an (n, q) over the report's size
+cap, are skipped with a note on stderr."""
 
 import argparse
 import os
@@ -10,9 +10,10 @@ import sys
 
 from qsearch.bounds import bounds_report, write_bounds_csv
 from qsearch.gf import is_prime_power
+from qsearch.projspace import TooLarge
 
 
-def reports(ns, qs):
+def rows(ns, qs):
     for n in ns:
         for q in qs:
             if n < 2:
@@ -24,7 +25,12 @@ def reports(ns, qs):
             except ValueError as exc:  # or an order beyond the primality test
                 print(f"skipping q={q}: {exc}", file=sys.stderr)
                 continue
-            yield bounds_report(n, q)
+            try:
+                report = bounds_report(n, q)
+            except TooLarge as exc:
+                print(f"skipping n={n} q={q}: {exc}", file=sys.stderr)
+                continue
+            yield from report
 
 
 def main() -> int:
@@ -35,7 +41,7 @@ def main() -> int:
     )
     args = ap.parse_args()
     try:
-        write_bounds_csv(sys.stdout, reports(args.n, args.q))
+        write_bounds_csv(sys.stdout, rows(args.n, args.q))
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader is gone: send the unwritten rest to devnull so that the

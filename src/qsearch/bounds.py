@@ -11,7 +11,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .gf import factor_prime_power
-from .projspace import gaussian_binomial
+from .projspace import TooLarge, gaussian_binomial
 from .record import Record, _set
 
 # fractions and csv are imported by the functions that use them, so a
@@ -77,25 +77,10 @@ def katona_lower(n: int, q: int) -> KatonaBound:
     return KatonaBound(value=value, simplified=simplified)
 
 
-class NonadaptiveBounds(Record):
-    __slots__ = _fields = ("katona", "upper_explicit", "upper_random")
-
-    def __init__(self, katona: KatonaBound, upper_explicit: int, upper_random: int):
-        _set(self, "katona", katona)
-        _set(self, "upper_explicit", upper_explicit)
-        _set(self, "upper_random", upper_random)
-
-
-def nonadaptive_bounds(n: int, q: int) -> NonadaptiveBounds:
-    """Bracket for the optimal non-adaptive query count: Katona-style
-    lower, and both the coordinate-ratio construction size and the random
-    pencil-bundle size 2nq as uppers."""
-    explicit = n + (n * (n - 1) // 2) * (q - 2)
-    return NonadaptiveBounds(
-        katona=katona_lower(n, q),
-        upper_explicit=explicit,
-        upper_random=2 * n * q,
-    )
+def nonadaptive_upper(n: int, q: int) -> tuple[int, int]:
+    """Upper bounds on the optimal non-adaptive query count: the sizes of
+    the coordinate-ratio construction and of the random pencil bundle, 2nq."""
+    return n + (n * (n - 1) // 2) * (q - 2), 2 * n * q
 
 
 class N3Specials(Record):
@@ -153,112 +138,63 @@ def n3_specials(q: int) -> N3Specials | None:
     return N3Specials(q=q, tau2_bound=tau2, ht_lower=ht, exact_m3q=exact)
 
 
-class BoundsReport(Record):
-    """All brackets for one (n, q), ready for JSON or CSV emission."""
+# Largest n * q.bit_length() a report takes on: the point count q^n is an
+# exact int of about that many bits, and building it is the report's cost.
+BOUNDS_BIT_CAP = 10**7
 
-    _TAGGED = (
-        "adaptive_lower",
-        "adaptive_upper",
-        "nonadaptive_lower_katona",
-        "nonadaptive_lower_asymptotic",
-        "nonadaptive_upper_explicit",
-        "nonadaptive_upper_random",
-    )
-    __slots__ = _fields = ("n", "q") + _TAGGED + ("n3_specials",)
 
-    def __init__(self, n: int, q: int, adaptive_lower: TaggedValue,
-                 adaptive_upper: TaggedValue, nonadaptive_lower_katona: TaggedValue,
-                 nonadaptive_lower_asymptotic: TaggedValue,
-                 nonadaptive_upper_explicit: TaggedValue,
-                 nonadaptive_upper_random: TaggedValue, n3_specials: N3Specials | None):
-        _set(self, "n", n)
-        _set(self, "q", q)
-        _set(self, "adaptive_lower", adaptive_lower)
-        _set(self, "adaptive_upper", adaptive_upper)
-        _set(self, "nonadaptive_lower_katona", nonadaptive_lower_katona)
-        _set(self, "nonadaptive_lower_asymptotic", nonadaptive_lower_asymptotic)
-        _set(self, "nonadaptive_upper_explicit", nonadaptive_upper_explicit)
-        _set(self, "nonadaptive_upper_random", nonadaptive_upper_random)
-        _set(self, "n3_specials", n3_specials)
-
-    def rows(self) -> list[tuple]:
-        """CSV rows in the documented column order BOUNDS_CSV_COLUMNS."""
-        out = []
-        for name in self._TAGGED:
-            tv: TaggedValue = getattr(self, name)
-            out.append((self.n, self.q, name, tv.tag, tv.value, tv.exact))
-        sp = self.n3_specials
-        if sp is not None:
-            out.append(
-                (self.n, self.q, "n3_tau2_bound", sp.tau2_bound.tag,
-                 sp.tau2_bound.value, sp.tau2_bound.exact)
-            )
-            out.append(
-                (self.n, self.q, "n3_ht_lower", sp.ht_lower.tag,
-                 sp.ht_lower.value, sp.ht_lower.exact)
-            )
-            if sp.exact_m3q is not None:
-                from fractions import Fraction
-
-                out.append(
-                    (self.n, self.q, "n3_exact_m3q", "exact-square",
-                     float(sp.exact_m3q), Fraction(sp.exact_m3q))
-                )
-        return out
-
-    def to_dict(self) -> dict:
-        def tv_dict(tv: TaggedValue) -> dict:
-            d = {"value": tv.value, "tag": tv.tag}
-            if tv.exact is not None:
-                d["exact"] = str(tv.exact)
-            return d
-
-        out = {"n": self.n, "q": self.q}
-        for name in self._TAGGED:
-            out[name] = tv_dict(getattr(self, name))
-        if self.n3_specials is not None:
-            sp = self.n3_specials
-            out["n3_specials"] = {
-                "tau2_bound": tv_dict(sp.tau2_bound),
-                "ht_lower": tv_dict(sp.ht_lower),
-                "exact_m3q": sp.exact_m3q,
-            }
-        return out
+def bounds_report(n: int, q: int) -> list[tuple]:
+    """All brackets for one (n, q) as rows in BOUNDS_CSV_COLUMNS order: the
+    six core bounds, then the n=3 specials when there are any.  Raises
+    TooLarge, before any count, when n * bits(q) exceeds BOUNDS_BIT_CAP."""
+    bits = n * q.bit_length()
+    if bits > BOUNDS_BIT_CAP:
+        raise TooLarge(f"n * bits(q) = {bits} exceeds the cap of {BOUNDS_BIT_CAP}")
+    lower, upper = adaptive_bounds(n, q)
+    kat = katona_lower(n, q)
+    explicit, random = nonadaptive_upper(n, q)
+    tagged = [
+        ("adaptive_lower",
+         _exact(n, "info-theoretic") if q == 2 else TaggedValue(lower, "info-theoretic")),
+        ("adaptive_upper", _exact(upper, "pencil-descent")),
+        ("nonadaptive_lower_katona", TaggedValue(kat.value, "katona")),
+        ("nonadaptive_lower_asymptotic", TaggedValue(kat.simplified, "katona-asymptotic")),
+        ("nonadaptive_upper_explicit", _exact(explicit, "coordinate-ratio-hyperplanes")),
+        ("nonadaptive_upper_random", _exact(random, "random-pencils")),
+    ]
+    sp = n3_specials(q) if n == 3 else None
+    if sp is not None:
+        tagged += [("n3_tau2_bound", sp.tau2_bound), ("n3_ht_lower", sp.ht_lower)]
+        if sp.exact_m3q is not None:
+            tagged.append(("n3_exact_m3q", _exact(sp.exact_m3q, "exact-square")))
+    return [(n, q, name, tv.tag, tv.value, tv.exact) for name, tv in tagged]
 
 
 BOUNDS_CSV_COLUMNS = ("n", "q", "name", "tag", "value", "exact")
 
 
-def write_bounds_csv(stream, reports) -> None:
-    """The header, then every row of each report; `exact` is a rational
-    string, or empty when the bound has no exact value."""
+def write_bounds_csv(stream, rows) -> None:
+    """The header, then the rows; `exact` is written as a rational string,
+    or empty when the bound has no exact value."""
     import csv
 
     w = csv.writer(stream)
     w.writerow(BOUNDS_CSV_COLUMNS)
-    for rep in reports:
-        for n, q, name, tag, value, exact in rep.rows():
-            w.writerow([n, q, name, tag, value, "" if exact is None else str(exact)])
+    w.writerows(rows)  # csv writes None as an empty field
 
 
-def bounds_report(n: int, q: int) -> BoundsReport:
-    adaptive_low, adaptive_up = adaptive_bounds(n, q)
-    non = nonadaptive_bounds(n, q)
-    kat = non.katona
-    if q == 2:
-        low_tv = _exact(n, "info-theoretic")
-    else:
-        low_tv = TaggedValue(adaptive_low, "info-theoretic")
-    return BoundsReport(
-        n=n,
-        q=q,
-        adaptive_lower=low_tv,
-        adaptive_upper=_exact(adaptive_up, "pencil-descent"),
-        nonadaptive_lower_katona=TaggedValue(kat.value, "katona"),
-        nonadaptive_lower_asymptotic=TaggedValue(kat.simplified, "katona-asymptotic"),
-        nonadaptive_upper_explicit=_exact(
-            non.upper_explicit, "coordinate-ratio-hyperplanes"
-        ),
-        nonadaptive_upper_random=_exact(non.upper_random, "random-pencils"),
-        n3_specials=n3_specials(q) if n == 3 else None,
-    )
+def bounds_dict(rows: list[tuple]) -> dict:
+    """One report's rows as JSON: {value, tag[, exact]} per bound, the n3_
+    rows nested under n3_specials without their prefix, and exact_m3q an
+    int, or None when there is no such row."""
+    out = {"n": rows[0][0], "q": rows[0][1]}
+    for _, _, name, tag, value, exact in rows:
+        d = {"value": value, "tag": tag}
+        if exact is not None:
+            d["exact"] = str(exact)
+        if name.startswith("n3_"):
+            sp = out.setdefault("n3_specials", {"exact_m3q": None})
+            sp[name[3:]] = int(exact) if name == "n3_exact_m3q" else d
+        else:
+            out[name] = d
+    return out

@@ -18,7 +18,13 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import adaptive_bounds, bounds_report, nonadaptive_bounds, write_bounds_csv
+from .bounds import (
+    adaptive_bounds,
+    bounds_dict,
+    bounds_report,
+    nonadaptive_upper,
+    write_bounds_csv,
+)
 from .game import (
     Transcript,
     oracle_from_name,
@@ -100,18 +106,18 @@ def _cmd_adaptive(args) -> int:
 def _cmd_construct(args) -> int:
     n, q = args.n, args.q
     geometry(n, q)  # the point cap comes before any other work
-    bounds = nonadaptive_bounds(n, q)
+    explicit_bound, random_bound = nonadaptive_upper(n, q)
     if args.method == "explicit":
         qs = explicit_construction(n, q)
         seed = None
         attempts = None
-        bound = bounds.upper_explicit
+        bound = explicit_bound
     else:
         if args.seed is None:
             raise ValueError("--method random needs --seed")
         qs, attempts = random_construction_trace(n, q, args.seed)
         seed = args.seed
-        bound = bounds.upper_random
+        bound = random_bound
     separating = separating_witness(qs) is None
     if args.out:
         qs.save(args.out)
@@ -152,11 +158,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    rep = bounds_report(args.n, args.q)
+    rows = bounds_report(args.n, args.q)
     if args.csv:
-        write_bounds_csv(sys.stdout, [rep])
+        write_bounds_csv(sys.stdout, rows)
     else:
-        _emit({"command": "bounds", **rep.to_dict()})
+        _emit({"command": "bounds", **bounds_dict(rows)})
     return 0
 
 

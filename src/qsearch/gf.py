@@ -152,12 +152,13 @@ class GF:
       mod p, so ``add(a, b) = fold[spread[a] + spread[b]]``.
 
     ``fold`` grows as (2 - 1/p)^e q: 3^16, about 43 million entries, at
-    GF(2^16), so a ``max_order`` above about 2^14 is impractical in char 2.
+    GF(2^16), so a ``DEFAULT_MAX_ORDER`` above about 2^14 is impractical in
+    char 2.
     """
 
-    def __init__(self, q: int, max_order: int = DEFAULT_MAX_ORDER):
-        if q > max_order:
-            raise ValueError(f"field order {q} above the configured cap {max_order}")
+    def __init__(self, q: int):
+        if q > DEFAULT_MAX_ORDER:
+            raise ValueError(f"field order {q} above the configured cap {DEFAULT_MAX_ORDER}")
         p, e = factor_prime_power(q)
         self.q, self.p, self.e = q, p, e
         self.modulus = self._smallest_irreducible(p, e)

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from qsearch import bounds
 from qsearch.bounds import (
     BOUNDS_CSV_COLUMNS,
     adaptive_bounds,
+    bounds_dict,
     bounds_report,
     katona_lower,
     n3_specials,
-    nonadaptive_bounds,
+    nonadaptive_upper,
 )
-from qsearch.projspace import gaussian_binomial
+from qsearch.projspace import TooLarge, gaussian_binomial
 from qsearch.separating import brute_force_minimum, explicit_construction
 
 TOL = 1e-9
@@ -89,14 +91,10 @@ def test_katona_below_known_systems():
 
 
 def test_nonadaptive_bounds():
-    nb = nonadaptive_bounds(3, 3)
-    assert nb.upper_explicit == 6
-    assert nb.upper_random == 18
-    nb = nonadaptive_bounds(4, 2)
-    assert (nb.upper_explicit, nb.upper_random) == (4, 16)
-    nb = nonadaptive_bounds(5, 7)
-    assert (nb.upper_explicit, nb.upper_random) == (55, 70)
-    assert nb.katona.value <= min(nb.upper_explicit, nb.upper_random)
+    assert nonadaptive_upper(3, 3) == (6, 18)
+    assert nonadaptive_upper(4, 2) == (4, 16)
+    assert nonadaptive_upper(5, 7) == (55, 70)
+    assert katona_lower(5, 7).value <= min(nonadaptive_upper(5, 7))
 
 
 def test_n3_specials_small_orders():
@@ -174,8 +172,7 @@ def test_ht_lower_never_exceeds_tau2_minus_2():
 
 
 def test_bounds_report_structure():
-    rep = bounds_report(3, 3)
-    d = rep.to_dict()
+    d = bounds_dict(bounds_report(3, 3))
     assert d["n"] == 3 and d["q"] == 3
     assert d["adaptive_lower"]["tag"] == "info-theoretic"
     assert d["adaptive_upper"] == {"value": 5.0, "tag": "pencil-descent", "exact": "5"}
@@ -188,20 +185,18 @@ def test_bounds_report_structure():
 
 
 def test_bounds_report_skips_specials_off_plane():
-    rep = bounds_report(4, 3)
-    assert rep.n3_specials is None
-    assert "n3_specials" not in rep.to_dict()
+    rows = bounds_report(4, 3)
+    assert len(rows) == 6
+    assert not any(name.startswith("n3_") for _, _, name, *_ in rows)
+    assert "n3_specials" not in bounds_dict(rows)
 
 
 def test_bounds_report_q2_lower_is_exact():
-    rep = bounds_report(5, 2)
-    assert rep.adaptive_lower.exact == 5
-    assert rep.adaptive_lower.value == 5.0
+    assert bounds_report(5, 2)[0] == (5, 2, "adaptive_lower", "info-theoretic", 5.0, 5)
 
 
 def test_bounds_csv_rows():
-    rep = bounds_report(3, 3)
-    rows = rep.rows()
+    rows = bounds_report(3, 3)
     names = [r[2] for r in rows]
     assert names == [
         "adaptive_lower",
@@ -214,6 +209,22 @@ def test_bounds_csv_rows():
         "n3_ht_lower",
     ]
     assert all(len(r) == len(BOUNDS_CSV_COLUMNS) for r in rows)
-    rows121 = bounds_report(3, 121).rows()
-    assert rows121[-1][2] == "n3_exact_m3q"
-    assert rows121[-1][4] == 264.0
+    rows121 = bounds_report(3, 121)
+    assert rows121[-1] == (3, 121, "n3_exact_m3q", "exact-square", 264.0, 264)
+    sp = bounds_dict(rows121)["n3_specials"]
+    assert sp["exact_m3q"] == 264 and type(sp["exact_m3q"]) is int
+    assert sp["tau2_bound"] == {"value": 266.0, "tag": "double-blocking-sqrt", "exact": "266"}
+
+
+def test_bounds_report_refuses_an_oversized_n_before_any_count(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a count was built")
+
+    monkeypatch.setattr(bounds, "gaussian_binomial", no_count)
+    with pytest.raises(TooLarge, match="n \\* bits\\(q\\) = 60000000 exceeds the cap of 10000000"):
+        bounds_report(30_000_000, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "BOUNDS_BIT_CAP", 20)
+    with pytest.raises(TooLarge, match="= 22 exceeds"):
+        bounds_report(11, 3)  # 3 has two bits
+    assert len(bounds_report(10, 3)) == 6  # at the cap a report is made

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -195,6 +196,52 @@ def test_bounds_csv(capsys):
     assert lines[-1].rstrip("\r").startswith("3,121,n3_exact_m3q,exact-square,264")
 
 
+# sha256 of `bounds --json` then `bounds --csv` stdout, first 16 hex digits,
+# frozen when a report became its CSV rows: q = 2 (exact lower), n != 3 (no
+# specials), prime, square, odd-power and huge orders, and n = 1000
+BOUNDS_DIGESTS = {
+    (3, 2): "0b35ede670bc9e18",
+    (5, 2): "48b084cf75987d10",
+    (1000, 2): "07224fcfbb5115b7",
+    (3, 3): "ee4a81c2997418c8",
+    (4, 3): "f96f4b7e13feacc4",
+    (1000, 3): "6e93db319f6695f5",
+    (3, 4): "4f1b73beb889cb94",
+    (3, 5): "7fb574924cfd1836",
+    (6, 5): "2831ea7b67aa5083",
+    (3, 7): "e7d4b049d7ecf484",
+    (3, 13): "acb0bffd215ca259",
+    (3, 9): "4e9aefc36ff9d7ff",
+    (3, 25): "86cca86cf4544b47",
+    (3, 121): "6ccd6ebb6009b487",
+    (3, 169): "e16cdce05c435c8c",
+    (3, 27): "ad802a381b964367",
+    (3, 125): "f220e78139593ecb",
+    (3, 128): "0367dd9737766745",
+    (3, 2187): "5b0fd615edb91145",
+    (3, 1000000000000000003): "b7f0a9f557f971b3",
+    (4, 1000000000000000003): "19cda3940b3aad1d",
+}
+
+
+@pytest.mark.parametrize("n,q", BOUNDS_DIGESTS)
+def test_bounds_output_matches_its_frozen_digest(capsys, n, q):
+    digest = hashlib.sha256()
+    for fmt in ("--json", "--csv"):
+        code, out, err = run(capsys, "bounds", "--n", str(n), "--q", str(q), fmt)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest()[:16] == BOUNDS_DIGESTS[n, q]
+
+
+def test_bounds_refuses_an_oversized_n_at_once(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "bounds", "--n", "30000000", "--q", "3")
+    assert time.monotonic() - start < 2  # the cap comes before q^n is built
+    assert (code, out) == (2, "")
+    assert err == "error: n * bits(q) = 60000000 exceeds the cap of 10000000\n"
+
+
 def test_reports_are_byte_identical(capsys):
     _, first, _ = run(capsys, "bounds", "--n", "4", "--q", "5")
     _, second, _ = run(capsys, "bounds", "--n", "4", "--q", "5")
@@ -389,7 +436,7 @@ def test_importing_the_cli_loads_no_module_a_command_may_not_need():
 # oversized or garbage values
 _GARBAGE = ["-1", "0", "1", "1000", "x", "2.5", ""]
 _INTS = st.sampled_from(["2", "3", "4", "6", "12", "1000000000000000003"] + _GARBAGE)
-_DIMS = st.sampled_from(["2", "3"] + _GARBAGE)
+_DIMS = st.sampled_from(["2", "3", "30000000"] + _GARBAGE)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
     | st.text(max_size=4),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsearch import gf
 from qsearch.gf import (
     GF,
     PRIMALITY_BOUND,
@@ -44,10 +45,11 @@ def test_not_a_prime_power(bad):
     assert not is_prime_power(bad)
 
 
-def test_order_cap():
-    with pytest.raises(ValueError):
+def test_order_cap(monkeypatch):
+    with pytest.raises(ValueError, match="field order 2048 above the configured cap 1024"):
         GF(2048)
-    GF(2048, max_order=4096)  # raising the cap lifts the restriction
+    monkeypatch.setattr(gf, "DEFAULT_MAX_ORDER", 4096)
+    GF(2048)  # raising the cap lifts the restriction
 
 
 def test_field_cache_shares_instances():
@@ -192,8 +194,9 @@ def test_primality_bound_is_named():
 
 
 @pytest.mark.parametrize("q,max_order", [(9, 1024), (729, 1024), (2048, 4096)])
-def test_no_table_has_q_squared_entries(q, max_order):
-    F = GF(q, max_order=max_order)
+def test_no_table_has_q_squared_entries(monkeypatch, q, max_order):
+    monkeypatch.setattr(gf, "DEFAULT_MAX_ORDER", max_order)
+    F = GF(q)
     assert max(len(t) for t in (F.exp, F.log, F.spread, F.fold)) < q * q
     assert len(F.fold) < 2**F.e * q
 

@@ -80,31 +80,11 @@ class KatonaBound:
 
 
 @dataclass(frozen=True)
-class NonadaptiveBounds:
-    katona: KatonaBound
-    upper_explicit: int
-    upper_random: int
-
-
-@dataclass(frozen=True)
 class N3Specials:
     q: int
     tau2_bound: TaggedValue
     ht_lower: TaggedValue
     exact_m3q: int | None
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    n: int
-    q: int
-    adaptive_lower: TaggedValue
-    adaptive_upper: TaggedValue
-    nonadaptive_lower_katona: TaggedValue
-    nonadaptive_lower_asymptotic: TaggedValue
-    nonadaptive_upper_explicit: TaggedValue
-    nonadaptive_upper_random: TaggedValue
-    n3_specials: N3Specials | None
 
 
 def _values(rec, oracle) -> tuple:
@@ -114,8 +94,7 @@ def _values(rec, oracle) -> tuple:
 PLANE = projspace.Subspace(3, 3, ((1, 0, 0),))
 LINE = projspace.Subspace(3, 3, ((1, 0, 0), (0, 1, 2)))
 G33 = geometry(3, 3)
-REP9, REP5 = bounds.bounds_report(3, 9), bounds.bounds_report(5, 4)
-SP9 = REP9.n3_specials
+SP9 = bounds.n3_specials(9)
 T = game.run_game(game.PlaneSearcher(3), game.FixedOracle(3, (0, 1, 2)), 3, 3)
 
 # Field values for each record, equal and unequal ones side by side: some
@@ -166,27 +145,17 @@ CASES = [
         (5.0, "pencil-descent", None),
         (5.0, "info-theoretic"),
         (4.5, "pencil-descent"),
-        (REP9.adaptive_lower.value, "info-theoretic"),
+        (bounds.adaptive_bounds(3, 9)[0], "info-theoretic"),
     ]),
     (bounds.KatonaBound, KatonaBound, [
         (1.5, 2.5),
         (1.5, 2.0),
         (2.5, 1.5),
     ]),
-    (bounds.NonadaptiveBounds, NonadaptiveBounds, [
-        (bounds.KatonaBound(1.5, 2.5), 3, 4),
-        (bounds.KatonaBound(1.5, 2.5), 3, 5),
-        (bounds.KatonaBound(1.5, 2.0), 3, 4),
-    ]),
     (bounds.N3Specials, N3Specials, [
         _values(SP9, N3Specials),
         (9, SP9.tau2_bound, SP9.ht_lower, 24),
         (9, SP9.ht_lower, SP9.tau2_bound, None),
-    ]),
-    (bounds.BoundsReport, BoundsReport, [
-        _values(REP9, BoundsReport),
-        _values(REP5, BoundsReport),
-        _values(REP9, BoundsReport)[:8] + (None,),
     ]),
 ]
 IDS = [old.__name__ for _, old, _ in CASES]
@@ -243,7 +212,7 @@ def test_records_of_different_classes_never_compare_equal():
     oracle = {new: old for new, old, _ in CASES}
     k = bounds.KatonaBound(1.5, 2.5)
     same_values = [
-        (bounds.NonadaptiveBounds, bounds.TaggedValue, (k, 3, 4)),
+        (game.GameView, bounds.TaggedValue, (k, 3, 4)),
         (bounds.KatonaBound, game.Answer, (True, None)),
         (projspace.Subspace, bounds.TaggedValue, (3, 3, ())),
     ]

@@ -50,6 +50,16 @@ def test_bounds_script_skips_an_order_beyond_the_primality_test():
     assert len(got.stdout.splitlines()) > 1
 
 
+def test_bounds_script_skips_an_n_over_the_size_cap():
+    got = run_script("bounds_table.py", "--n", "3", "30000000", "--q", "3")
+    assert got.returncode == 0, got.stderr
+    assert got.stderr == (
+        "skipping n=30000000 q=3: n * bits(q) = 60000000 exceeds the cap of 10000000\n"
+    )
+    rows = got.stdout.splitlines()
+    assert len(rows) == 9 and all(row.startswith("3,3,") for row in rows[1:])
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
