@@ -88,11 +88,10 @@ class N3Specials(Record):
     blocking number bound, the derived minimum-system bound, and the known
     exact minimum for large square orders."""
 
-    __slots__ = _fields = ("q", "tau2_bound", "ht_lower", "exact_m3q")
+    __slots__ = _fields = ("tau2_bound", "ht_lower", "exact_m3q")
 
-    def __init__(self, q: int, tau2_bound: TaggedValue, ht_lower: TaggedValue,
+    def __init__(self, tau2_bound: TaggedValue, ht_lower: TaggedValue,
                  exact_m3q: int | None):
-        _set(self, "q", q)
         _set(self, "tau2_bound", tau2_bound)
         _set(self, "ht_lower", ht_lower)
         _set(self, "exact_m3q", exact_m3q)
@@ -135,7 +134,7 @@ def n3_specials(q: int) -> N3Specials | None:
         )
     r = math.isqrt(q)
     exact = 2 * q + 2 * r if (r * r == q and q >= 121) else None
-    return N3Specials(q=q, tau2_bound=tau2, ht_lower=ht, exact_m3q=exact)
+    return N3Specials(tau2_bound=tau2, ht_lower=ht, exact_m3q=exact)
 
 
 # Largest n * q.bit_length() a report takes on: the point count q^n is an

@@ -57,11 +57,6 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _save_transcript(path: str | None, t: Transcript) -> None:
-    if path:
-        Path(path).write_text(t.to_json() + "\n")
-
-
 def _cmd_adaptive(args) -> int:
     n, q = args.n, args.q
     geometry(n, q)  # the point cap comes before any other work
@@ -98,7 +93,8 @@ def _cmd_adaptive(args) -> int:
         else:
             ok = t.identified == o.point and t.count <= bound
         report.update(count=t.count, outcome=t.outcome, ok=ok)
-        _save_transcript(args.save, t)
+        if args.save:
+            Path(args.save).write_text(t.to_json() + "\n")
     _emit(report)
     return 0 if ok else 1
 

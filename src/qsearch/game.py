@@ -379,15 +379,12 @@ class FixedOracle:
     point's bit in the query's cached mask."""
 
     def __init__(self, q: int, point):
-        self.q = q
         self.point = normalize(q, point)
         self.name = "fixed:" + ",".join(str(c) for c in self.point)
         self.geom = geometry(len(self.point), q)
         self.bit = self.geom.rank(self.point)
 
     def answer(self, query: Subspace, history) -> Answer:
-        if (query.q, query.n) != (self.q, self.geom.n):
-            raise DimensionMismatch(f"fixed oracle plays GF({self.q})^{self.geom.n} only")
         return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
@@ -423,13 +420,10 @@ class AdversaryOracle:
     least 2q-1 questions."""
 
     def __init__(self, q: int):
-        self.q = q
         self.geom = geometry(3, q)
         self.name = "adversary"
 
     def answer(self, query: Subspace, history) -> Answer:
-        if (query.q, query.n) != (self.q, 3):
-            raise DimensionMismatch(f"adversary plays GF({self.q})^3 only")
         geom = self.geom
         cand = geom.full_mask
         for qry, ans in history:

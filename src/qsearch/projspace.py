@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
 import warnings
 from functools import lru_cache
@@ -419,13 +418,8 @@ class Geometry:
 
 
 @lru_cache(maxsize=None)
-def _geometry(n: int, q: int) -> Geometry:
-    return Geometry(n, q)
-
-
 def geometry(n: int, q: int) -> Geometry:
     """Shared Geometry of PG(n-1, q).  Raises TooLarge, before enumerating
-    anything, when the point count exceeds DEFAULT_POINT_CAP or the value of
-    the environment variable QSEARCH_POINT_CAP."""
-    point_count(n, q, int(os.environ.get("QSEARCH_POINT_CAP") or DEFAULT_POINT_CAP))
-    return _geometry(n, q)
+    anything, when the point count exceeds DEFAULT_POINT_CAP."""
+    point_count(n, q, DEFAULT_POINT_CAP)
+    return Geometry(n, q)

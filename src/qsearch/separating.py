@@ -51,10 +51,9 @@ class Exhausted(RuntimeError):
 class QuerySet(Record):
     """An ordered batch of subspace membership queries over GF(q)^n."""
 
-    __slots__ = _fields = ("q", "n", "queries", "provenance")
+    __slots__ = _fields = ("q", "n", "queries")
 
-    def __init__(self, q: int, n: int, queries: tuple[Subspace, ...],
-                 provenance: str = ""):
+    def __init__(self, q: int, n: int, queries: tuple[Subspace, ...]):
         for s in queries:
             if (s.q, s.n) != (q, n):
                 raise DimensionMismatch(f"query over GF({s.q})^{s.n} in a GF({q})^{n} set")
@@ -63,7 +62,6 @@ class QuerySet(Record):
         _set(self, "q", q)
         _set(self, "n", n)
         _set(self, "queries", queries)
-        _set(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -92,7 +90,7 @@ class QuerySet(Record):
         if len(body) != count:
             raise ValueError(f"header promises {count} queries, found {len(body)}")
         queries = tuple(Subspace.parse(ln) for ln in body)
-        return QuerySet(q, n, queries, provenance="user")
+        return QuerySet(q, n, queries)
 
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -177,7 +175,7 @@ def explicit_construction(n: int, q: int) -> QuerySet:
         for j in range(i + 1, n):
             for lam in range(1, q - 1):
                 queries.append(ratio_hyperplane(q, n, i, j, lam))
-    return QuerySet(q, n, tuple(queries), provenance="explicit")
+    return QuerySet(q, n, tuple(queries))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +207,12 @@ def random_construction_trace(n: int, q: int, seed: int) -> tuple[QuerySet, int]
         raise WrongDimension(f"need n >= 3 for nonzero (n-2)-subspaces, got n={n}")
     geom = geometry(n, q)
     rng = random.Random(f"construct:{seed}")
-    label = f"random:seed={seed},l={2 * n}"
     for attempt in range(1, MAX_RETRIES + 1):
         queries = []
         for _ in range(2 * n):
             u = _random_subspace(rng, n, q, n - 2)
             queries.extend(geom.pencil(u)[:-1])
-        qs = QuerySet(q, n, tuple(queries), provenance=label)
+        qs = QuerySet(q, n, tuple(queries))
         if is_separating(qs):
             return qs, attempt
     raise RetriesExhausted(
@@ -270,7 +267,7 @@ def minimal_subsystem(qs: QuerySet) -> QuerySet:
         if len({s & trial for s in sigs}) == len(sigs):
             kept = trial
     queries = tuple(s for i, s in enumerate(qs.queries) if kept >> i & 1)
-    return QuerySet(qs.q, qs.n, queries, provenance=f"minimal:{qs.provenance}")
+    return QuerySet(qs.q, qs.n, queries)
 
 
 def points_to_lines(qs: QuerySet) -> QuerySet:
@@ -308,7 +305,7 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
             if choice is None:
                 choice = next(ln for ln in geom.subspaces(2) if ln not in present)
         queries[idx] = choice
-    out = QuerySet(qs.q, 3, tuple(queries), provenance="lines-from-mixed")
+    out = QuerySet(qs.q, 3, tuple(queries))
     if not is_separating(out):
         raise AssertionError("rewriting broke separation")  # unreachable
     return out
@@ -369,7 +366,5 @@ def brute_force_minimum(
     for size in range(0 if npoints <= 1 else 1, max_size + 1):
         got = dfs(0, start_classes, [], size)
         if got is not None:
-            return QuerySet(
-                q, n, tuple(universe[i] for i in got), provenance="brute-minimum"
-            )
+            return QuerySet(q, n, tuple(universe[i] for i in got))
     raise Exhausted(f"no separating system of at most {max_size} hyperplanes")

@@ -371,6 +371,14 @@ def test_adversary_volunteers_on_point_query():
     assert line.k == 2
 
 
+def test_adversary_refuses_a_query_of_another_space():
+    o = AdversaryOracle(3)
+    with pytest.raises(DimensionMismatch, match=r"GF\(5\)\^3 subspace in PG\(2, 3\)"):
+        o.answer(Subspace.span(5, 3, [(1, 0, 0), (0, 1, 0)]), ())
+    with pytest.raises(DimensionMismatch, match=r"GF\(3\)\^4 subspace in PG\(2, 3\)"):
+        o.answer(Subspace.span(3, 4, [(1, 0, 0, 0)]), ())
+
+
 class PointProber:
     """The plane searcher after a first point question."""
 
@@ -700,3 +708,6 @@ def test_query_dimension_guards():
 
     with pytest.raises(DimensionMismatch):
         run_game(WrongField(), FixedOracle(2, (1, 0, 0)), 3, 2)
+    # the referee's game and the oracle's point live in different spaces
+    with pytest.raises(DimensionMismatch, match=r"GF\(3\)\^3 subspace in PG\(3, 3\)"):
+        run_game(PlaneSearcher(3), FixedOracle(3, (1, 0, 0, 0)), 3, 3)

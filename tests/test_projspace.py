@@ -1,5 +1,7 @@
+import ast
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -353,6 +355,21 @@ def test_mask_matches_the_layer_loop(n, q):
         subspaces += explicit_construction(n, q).queries
     for s in subspaces:
         assert geom.mask(s) == _mask_by_layers(geom, s), s
+
+
+def test_no_module_reads_the_environment():
+    # the caps are module constants, so no setting outside the code changes a result
+    package = Path(__file__).resolve().parents[1] / "src" / "qsearch"
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in readers
+        or isinstance(node, ast.Name) and node.id in readers
+        or isinstance(node, ast.alias) and node.name in readers
+    ]
+    assert found == []
 
 
 def test_mask_rejects_a_subspace_of_another_space():

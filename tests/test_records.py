@@ -54,7 +54,6 @@ class QuerySet:
     q: int
     n: int
     queries: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         for s in self.queries:
@@ -81,7 +80,6 @@ class KatonaBound:
 
 @dataclass(frozen=True)
 class N3Specials:
-    q: int
     tau2_bound: TaggedValue
     ht_lower: TaggedValue
     exact_m3q: int | None
@@ -133,8 +131,8 @@ CASES = [
     ]),
     (separating.QuerySet, QuerySet, [
         (3, 3, (PLANE, LINE)),
-        (3, 3, (PLANE, LINE), ""),
-        (3, 3, (PLANE, LINE), "explicit"),
+        (3, 3, tuple([PLANE, LINE])),
+        (3, 3, (PLANE,)),
         (3, 3, (LINE, PLANE)),
         (3, 3, ()),
         (3, 4, ()),
@@ -154,8 +152,8 @@ CASES = [
     ]),
     (bounds.N3Specials, N3Specials, [
         _values(SP9, N3Specials),
-        (9, SP9.tau2_bound, SP9.ht_lower, 24),
-        (9, SP9.ht_lower, SP9.tau2_bound, None),
+        (SP9.tau2_bound, SP9.ht_lower, 24),
+        (SP9.ht_lower, SP9.tau2_bound, None),
     ]),
 ]
 IDS = [old.__name__ for _, old, _ in CASES]
@@ -237,8 +235,6 @@ def test_fields_are_read_only(new, old, cases):
 def test_defaults():
     assert bounds.TaggedValue(1.0, "t").exact is None is TaggedValue(1.0, "t").exact
     assert game.Answer(True).volunteered is None is Answer(True).volunteered
-    qs = separating.QuerySet(3, 3, (PLANE,))
-    assert qs.provenance == "" == QuerySet(3, 3, (PLANE,)).provenance
 
 
 @pytest.mark.parametrize(
