@@ -5,9 +5,9 @@ separating system and write it out), verify (check a query-set file),
 bounds (closed-form brackets), oracle claim-count / brute-min (exhaustive
 cross-checks), replay (re-run a saved transcript byte for byte).
 
-Reports go to stdout as JSON with sorted keys and two-space indent, so the
-same invocation always produces the same bytes.  Exit codes: 0 all checks
-passed, 1 a check failed, 2 bad usage or invalid input.
+Handlers return (report, ok), and `main` alone prints the report: JSON
+with sorted keys and two-space indent, the same bytes for the same call.
+Exit codes: 0 all checks passed, 1 a check failed, 2 bad usage or input.
 """
 
 from __future__ import annotations
@@ -53,11 +53,7 @@ from .separating import (
 CLAIM_CHECK_CAP = 2 * 10**6
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
-def _cmd_adaptive(args) -> int:
+def _cmd_adaptive(args) -> tuple[dict, bool]:
     n, q = args.n, args.q
     geometry(n, q)  # the point cap comes before any other work
     bound = adaptive_bounds(n, q)[1]
@@ -82,7 +78,6 @@ def _cmd_adaptive(args) -> int:
             max_count=max(counts),
             mean_count=sum(counts) / len(counts),
             failures=failures,
-            ok=ok,
         )
     else:
         o = oracle_from_name(args.oracle, n, q)
@@ -92,21 +87,19 @@ def _cmd_adaptive(args) -> int:
             ok = t.identified is not None and t.count >= threshold
         else:
             ok = t.identified == o.point and t.count <= bound
-        report.update(count=t.count, outcome=t.outcome, ok=ok)
+        report.update(count=t.count, outcome=t.outcome)
         if args.save:
             Path(args.save).write_text(t.to_json() + "\n")
-    _emit(report)
-    return 0 if ok else 1
+    return {**report, "ok": ok}, ok
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[dict, bool]:
     n, q = args.n, args.q
     geometry(n, q)  # the point cap comes before any other work
     explicit_bound, random_bound = nonadaptive_upper(n, q)
     if args.method == "explicit":
         qs = explicit_construction(n, q)
-        seed = None
-        attempts = None
+        seed = attempts = None
         bound = explicit_bound
     else:
         if args.seed is None:
@@ -118,122 +111,103 @@ def _cmd_construct(args) -> int:
     if args.out:
         qs.save(args.out)
     ok = separating and len(qs) <= bound
-    _emit(
-        {
-            "command": "construct",
-            "n": n,
-            "q": q,
-            "method": args.method,
-            "seed": seed,
-            "attempts": attempts,
-            "size": len(qs),
-            "bound": bound,
-            "separating": separating,
-            "out": args.out,
-            "ok": ok,
-        }
-    )
-    return 0 if ok else 1
+    return {
+        "command": "construct",
+        "n": n,
+        "q": q,
+        "method": args.method,
+        "seed": seed,
+        "attempts": attempts,
+        "size": len(qs),
+        "bound": bound,
+        "separating": separating,
+        "out": args.out,
+        "ok": ok,
+    }, ok
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, bool]:
     qs = QuerySet.load(args.file)
     wit = separating_witness(qs)
-    _emit(
-        {
-            "command": "verify",
-            "file": args.file,
-            "n": qs.n,
-            "q": qs.q,
-            "size": len(qs),
-            "separating": wit is None,
-            "witness": None if wit is None else [list(wit[0]), list(wit[1])],
-        }
-    )
-    return 0 if wit is None else 1
+    return {
+        "command": "verify",
+        "file": args.file,
+        "n": qs.n,
+        "q": qs.q,
+        "size": len(qs),
+        "separating": wit is None,
+        "witness": None if wit is None else [list(wit[0]), list(wit[1])],
+    }, wit is None
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[dict | None, bool]:
     rows = bounds_report(args.n, args.q)
     if args.csv:
         write_bounds_csv(sys.stdout, rows)
-    else:
-        _emit({"command": "bounds", **bounds_dict(rows)})
-    return 0
+        return None, True
+    return {"command": "bounds", **bounds_dict(rows)}, True
 
 
-def _cmd_claim_count(args) -> int:
+def _cmd_claim_count(args) -> tuple[dict, bool]:
     n, q = args.n, args.q
     if n < 3:
         raise ValueError(f"pencils through (n-2)-subspaces need n >= 3, got n={n}")
     npoints = point_count(n, q, CLAIM_CHECK_CAP)  # every pair is checked
-    checks = npoints * (npoints - 1) // 2 * gaussian_binomial(n, n - 2, q)
+    pairs = npoints * (npoints - 1) // 2
+    checks = pairs * gaussian_binomial(n, n - 2, q)
     if checks > CLAIM_CHECK_CAP:
         raise TooLarge(f"{checks} pencil checks exceeds the cap of {CLAIM_CHECK_CAP}")
     formula = unseparated_pencil_count(n, q)
-    geom = geometry(n, q)
-    pairs = 0
     first_mismatch = None
-    for u, v in itertools.combinations(geom.points, 2):
+    for u, v in itertools.combinations(geometry(n, q).points, 2):
         got = count_unseparated_bruteforce(n, q, u, v)
-        pairs += 1
         if got != formula and first_mismatch is None:
             first_mismatch = {"u": list(u), "v": list(v), "count": got}
     ok = first_mismatch is None
-    _emit(
-        {
-            "command": "oracle-claim-count",
-            "n": n,
-            "q": q,
-            "formula": formula,
-            "pairs": pairs,
-            "first_mismatch": first_mismatch,
-            "ok": ok,
-        }
-    )
-    return 0 if ok else 1
+    return {
+        "command": "oracle-claim-count",
+        "n": n,
+        "q": q,
+        "formula": formula,
+        "pairs": pairs,
+        "first_mismatch": first_mismatch,
+        "ok": ok,
+    }, ok
 
 
-def _cmd_brute_min(args) -> int:
+def _cmd_brute_min(args) -> tuple[dict, bool]:
     n, q = args.n, args.q
     restrict = not args.all_dims
     try:
         qs = brute_force_minimum(n, q, max_size=args.max, restrict_to_hyperplanes=restrict)
-        minimum = len(qs)
         witness = [s.literal() for s in qs.queries]
     except Exhausted:
-        minimum = None
         witness = None
-    _emit(
-        {
-            "command": "oracle-brute-min",
-            "n": n,
-            "q": q,
-            "max_size": args.max,
-            "restrict_to_hyperplanes": restrict,
-            "minimum": minimum,
-            "witness": witness,
-            "ok": minimum is not None,
-        }
-    )
-    return 0 if minimum is not None else 1
+    ok = witness is not None
+    return {
+        "command": "oracle-brute-min",
+        "n": n,
+        "q": q,
+        "max_size": args.max,
+        "restrict_to_hyperplanes": restrict,
+        "minimum": len(witness) if ok else None,
+        "witness": witness,
+        "ok": ok,
+    }, ok
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> tuple[dict, bool]:
     t = Transcript.from_json(Path(args.file).read_text())
     if not is_prime_power(t.q):
         raise ValueError(f"transcript has non-prime-power q={t.q}")
     match, fresh = replay(t)
-    _emit(
-        {
-            "command": "replay",
-            "file": args.file,
-            "match": match,
-            "count": fresh.count,
-            "outcome": fresh.outcome,
-        }
-    )
-    return 0 if match else 1
+    return {
+        "command": "replay",
+        "file": args.file,
+        "match": match,
+        "count": fresh.count,
+        "outcome": fresh.outcome,
+    }, match
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,10 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="search for an unknown line through the origin in GF(q)^n",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    nq = argparse.ArgumentParser(add_help=False)  # --n and --q, shared below
+    nq.add_argument("--n", type=int, required=True)
+    nq.add_argument("--q", type=int, required=True)
 
-    p = sub.add_parser("adaptive", help="play one searcher against one oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("adaptive", parents=[nq], help="play one searcher against one oracle")
     p.add_argument(
         "--strategy",
         required=True,
@@ -266,9 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", help="write the transcript JSON here (single game only)")
     p.set_defaults(handler=_cmd_adaptive)
 
-    p = sub.add_parser("construct", help="build a separating system")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("construct", parents=[nq], help="build a separating system")
     p.add_argument("--method", choices=("explicit", "random"), required=True)
     p.add_argument("--seed", type=int, help="required for --method random")
     p.add_argument("--out", help="write the system to this file")
@@ -278,9 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="closed-form brackets for one (n, q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("bounds", parents=[nq], help="closed-form brackets for one (n, q)")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (default)")
     fmt.add_argument("--csv", action="store_true", help="one row per bound")
@@ -289,17 +260,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive cross-checks")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
 
-    pc = osub.add_parser(
+    osub.add_parser(
         "claim-count",
+        parents=[nq],
         help="per-pair unseparated-pencil count: formula vs brute force",
-    )
-    pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--q", type=int, required=True)
-    pc.set_defaults(handler=_cmd_claim_count)
+    ).set_defaults(handler=_cmd_claim_count)
 
-    pb = osub.add_parser("brute-min", help="exact minimum separating-system size")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--q", type=int, required=True)
+    pb = osub.add_parser(
+        "brute-min", parents=[nq], help="exact minimum separating-system size"
+    )
     pb.add_argument("--max", type=int, default=BRUTE_SIZE_CAP, help="largest size to try")
     pb.add_argument(
         "--all-dims",
@@ -325,7 +294,10 @@ def main(argv=None) -> int:
             parser.error(f"q={q} is not a prime power")
         if n is not None and n < 2:
             parser.error(f"need n >= 2, got n={n}")
-        return args.handler(args)
+        report, ok = args.handler(args)
+        if report is not None:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        return 0 if ok else 1
     except (NotAPrimePower, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

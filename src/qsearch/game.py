@@ -460,7 +460,11 @@ def searcher_from_name(name: str, n: int, q: int):
     if name == "two-round":
         return TwoRoundSearcher(n, q)
     if name.startswith("random-lines:"):
-        return RandomLineSearcher(n, q, int(name.split(":", 1)[1]))
+        try:
+            seed = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"unknown searcher {name!r}") from None
+        return RandomLineSearcher(n, q, seed)
     raise ValueError(f"unknown searcher {name!r}")
 
 
@@ -470,7 +474,10 @@ def oracle_from_name(name: str, n: int, q: int):
             raise WrongDimension("the adversary plays n=3 only")
         return AdversaryOracle(q)
     if name.startswith("fixed:"):
-        coords = [int(c) for c in name.split(":", 1)[1].split(",")]
+        try:
+            coords = [int(c) for c in name.split(":", 1)[1].split(",")]
+        except ValueError:
+            raise ValueError(f"unknown oracle {name!r}") from None
         if len(coords) != n:
             raise DimensionMismatch(f"point {coords} not of length {n}")
         if any(not 0 <= c < q for c in coords):

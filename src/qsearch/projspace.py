@@ -350,6 +350,8 @@ class Geometry:
             raise DimensionMismatch(
                 f"GF({s.q})^{s.n} subspace in PG({self.n - 1}, {self.q})"
             )
+        if s.k == 1:  # a point is its bit; cached, P point masks hold P^2 bits
+            return 1 << self.rank(s.basis[0])
         F, pivots = self.F, s.pivots()
         m = self.full_mask
         for f in range(self.n):

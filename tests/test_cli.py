@@ -234,6 +234,37 @@ def test_bounds_output_matches_its_frozen_digest(capsys, n, q):
     assert digest.hexdigest()[:16] == BOUNDS_DIGESTS[n, q]
 
 
+# the exit code, help and missing-argument text of every command, frozen
+# while each subcommand still declared its own --n and --q
+USAGE_DIGESTS = {
+    "-h": "d1aa569cf3b51c01",
+    "adaptive -h": "d272a7a0a6a282d6",
+    "adaptive": "45b57be427879522",
+    "construct -h": "2dc3f9c69df1616c",
+    "construct": "ab899aac59578060",
+    "verify -h": "ccc1bc3b6af4acd2",
+    "verify": "70905f414ef6545e",
+    "bounds -h": "6e085acf93920bbe",
+    "bounds": "d812a9db7b256d1c",
+    "replay -h": "777cc5ff2256d38f",
+    "replay": "815eddec6be4adce",
+    "oracle -h": "1f17a5ebb8dd5217",
+    "oracle": "55bdb7f068a5398d",
+    "oracle claim-count -h": "e4fb8f1b1073c71a",
+    "oracle claim-count": "0c411701f4bb5b29",
+    "oracle brute-min -h": "ab9e09997d28daae",
+    "oracle brute-min": "95c9a397dc702448",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_DIGESTS)
+def test_usage_text_matches_its_frozen_digest(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code, out, err = run(capsys, *argv.split())
+    digest = hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
+    assert digest[:16] == USAGE_DIGESTS[argv]
+
+
 def test_bounds_refuses_an_oversized_n_at_once(capsys):
     start = time.monotonic()
     code, out, err = run(capsys, "bounds", "--n", "30000000", "--q", "3")
@@ -363,6 +394,12 @@ def test_verify_missing_file(capsys):
           "--oracle", "fixed:all"), "cap of 1000000"),
         (("construct", "--n", "3000000", "--q", "3", "--method", "explicit"),
          "cap of 1000000"),
+        (("adaptive", "--n", "3", "--q", "3", "--strategy", "random-lines:x",
+          "--oracle", "fixed:all"), "unknown searcher 'random-lines:x'"),
+        (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
+          "--oracle", "fixed:"), "unknown oracle 'fixed:'"),
+        (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
+          "--oracle", "fixed:1,,2"), "unknown oracle 'fixed:1,,2'"),
     ],
 )
 def test_oversized_or_out_of_range_input_is_one_line_error(

@@ -485,6 +485,17 @@ def test_adversary_games_build_linearly_many_masks(name, monkeypatch):
     assert len(geom._mask_cache) <= 4 * (q + 1), len(geom._mask_cache)
 
 
+def test_a_plane_sweep_caches_no_point_mask(monkeypatch):
+    # the plane searcher ends each line by asking its points one at a time;
+    # cached, those P point masks would hold P^2 bits that no cap bounds
+    q = 13
+    geom = Geometry(3, q)
+    monkeypatch.setattr(game, "geometry", lambda n, q: geom)
+    games = sweep(PlaneSearcher(q), 3, q)
+    assert max(count for _, count, _ in games) == 2 * q - 1
+    assert [s for s in geom._mask_cache if s.k == 1] == []
+
+
 @pytest.mark.parametrize("n,q", ((3, 9), (4, 4), (5, 3)))
 def test_a_canonical_point_is_its_own_echelon_basis(n, q):
     # the plane searcher asks its probe as Subspace(q, n, (p,))
@@ -635,6 +646,25 @@ def test_registry_errors():
     for bad in ("fixed:5,1,1", "fixed:-1,1,1", "fixed:1,3,0"):
         with pytest.raises(ValueError, match="outside"):
             oracle_from_name(bad, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [
+        ("searcher", "random-lines:x"),
+        ("searcher", "random-lines:"),
+        ("oracle", "fixed:"),
+        ("oracle", "fixed:1,,2"),
+        ("oracle", "fixed:all"),
+    ],
+)
+def test_registry_error_names_the_input(kind, name):
+    # not int()'s "invalid literal", which does not say which option was bad
+    lookup = searcher_from_name if kind == "searcher" else oracle_from_name
+    with pytest.raises(ValueError) as exc:
+        lookup(name, 3, 3)
+    assert str(exc.value) == f"unknown {kind} {name!r}"
+    assert exc.value.__suppress_context__
 
 
 @pytest.mark.parametrize(

@@ -374,7 +374,8 @@ def test_no_module_reads_the_environment():
 
 def test_mask_rejects_a_subspace_of_another_space():
     geom = geometry(3, 3)
-    for s in (Subspace.full(3, 4), Subspace.full(2, 3), Subspace.full(5, 3)):
+    points = [Subspace(q, n, ((1,) + (0,) * (n - 1),)) for q, n in ((3, 4), (2, 3), (5, 3))]
+    for s in (Subspace.full(3, 4), Subspace.full(2, 3), Subspace.full(5, 3), *points):
         with pytest.raises(DimensionMismatch):
             geom.mask(s)
 
