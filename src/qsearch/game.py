@@ -104,7 +104,7 @@ class Transcript(Record):
         for key, kind in zip(Transcript._fields, Transcript._TYPES):
             if key not in d:
                 raise ValueError(f"transcript is missing key {key!r}")
-            if not isinstance(d[key], kind):
+            if type(d[key]) is not kind:  # a JSON boolean is no int
                 raise ValueError(f"transcript key {key!r} must be a {kind.__name__}")
         if d["n"] < 2:
             raise ValueError(f"transcript has n={d['n']}, need n >= 2")
@@ -122,7 +122,8 @@ def _rule(geom: Geometry, decision, cand: int, asked: int):
     left the candidates `cand`: ("identified", point) for a sound
     announcement, ("ask", query) for a legal query, or ("aborted", None)
     once as many queries as there are points are spent (asking every point
-    one by one always suffices)."""
+    one by one always suffices).  A query of another space is left to
+    `Geometry.mask`, which every asked query reaches."""
     kind, payload = decision
     if kind == "announce":
         p = normalize(geom.q, payload)
@@ -130,13 +131,9 @@ def _rule(geom: Geometry, decision, cand: int, asked: int):
             raise BadAnnounce(f"announced {p} with {cand.bit_count()} consistent points")
         return ("identified", p)
     qry: Subspace = payload
-    if (qry.q, qry.n) != (geom.q, geom.n):
-        raise DimensionMismatch(
-            f"query over GF({qry.q})^{qry.n} in a GF({geom.q})^{geom.n} game"
-        )
     if not 1 <= qry.k <= geom.n - 1:
         raise WrongDimension(f"query dimension {qry.k} outside [1, {geom.n - 1}]")
-    if asked >= len(geom.points):
+    if asked >= geom.full_mask.bit_length():
         return ("aborted", None)
     return ("ask", qry)
 
@@ -194,7 +191,7 @@ def sweep(searcher, n: int, q: int) -> list[tuple]:
     order the per-point games first reach them: the first node that raises
     raises the error those games would meet first."""
     geom = geometry(n, q)
-    out: list = [None] * len(geom.points)
+    out: list = [None] * geom.full_mask.bit_length()
     pending = [(0, 0, geom.full_mask)]  # (lowest candidate, asked, candidates)
     while pending:
         low, asked, cand = heapq.heappop(pending)
@@ -272,18 +269,13 @@ def _round(ctx: Subspace, known_not: Subspace | None):
     q, n = ctx.q, ctx.n
     base = known_not if known_not is not None else ctx
     u = Subspace(q, n, base.basis[: ctx.k - 2])
-    pencil = pencil_within(ctx, u)
-    if known_not is None:
-        to_ask, fallback = tuple(pencil[:q]), pencil[q]
-    else:
-        others = [w for w in pencil if w != known_not]
-        to_ask, fallback = tuple(others[: q - 1]), others[q - 1]
+    *to_ask, fallback = [w for w in pencil_within(ctx, u) if w != known_not]
     # a complement of ctx lifts each member w to the hyperplane of the
     # full space whose intersection with ctx is exactly w
     comp = tuple(basis_extension(ctx, Subspace.full(q, n).basis))
     asks = tuple(Subspace.span(q, n, w.basis + comp) for w in to_ask)
     masks = tuple(map(geometry(n, q).mask, asks))
-    return u, to_ask, asks, masks, fallback
+    return u, tuple(to_ask), asks, masks, fallback
 
 
 class InductiveSearcher:

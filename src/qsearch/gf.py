@@ -102,8 +102,6 @@ def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

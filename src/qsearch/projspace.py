@@ -21,7 +21,7 @@ import itertools
 import json
 import re
 import warnings
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import GF, field
 from .record import Record, _set
@@ -313,11 +313,16 @@ class Geometry:
         self.n = n
         self.q = q
         self.F: GF = field(q)
-        self.points: list[tuple[int, ...]] = list(enumerate_points(n, q))
-        self.full_mask: int = (1 << len(self.points)) - 1
+        self.full_mask: int = (1 << gaussian_binomial(n, 1, q)) - 1
         self._mask_cache: dict[Subspace, int] = {}
         self._pencil_cache: dict[Subspace, list[Subspace]] = {}
         self._subspace_cache: dict[int, list[Subspace]] = {}
+
+    @cached_property
+    def points(self) -> list[tuple[int, ...]]:
+        """Every point, in lexicographic order; built on first read, since
+        masks need only the count."""
+        return list(enumerate_points(self.n, self.q))
 
     def rank(self, p) -> int:
         """Index of a canonical point in `points`, in closed form.  With m

@@ -40,10 +40,6 @@ class RetriesExhausted(RuntimeError):
     """Randomized construction failed every allowed attempt."""
 
 
-class UniquenessViolation(RuntimeError):
-    """More than one point shares a signature where at most one may."""
-
-
 class Exhausted(RuntimeError):
     """Exhaustive search ran out of sizes without finding a system."""
 
@@ -105,7 +101,7 @@ def signatures(qs: QuerySet) -> list[int]:
     of them are shifted into one lane, and the lane is written to every
     signature's byte L by one strided slice assignment."""
     geom = geometry(qs.n, qs.q)
-    P, queries = len(geom.points), qs.queries
+    P, queries = geom.full_mask.bit_length(), qs.queries
     W = max(1, -(-len(queries) // 8))  # bytes per signature
     buf = bytearray(P * W)
     for L in range(W):
@@ -275,7 +271,9 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
     separating system of the same (minimal) size.
 
     In a minimal system a point query P can collide with at most one other
-    point Q once removed; a line through P avoiding Q restores separation.
+    point Q once removed: two such points would answer NO to P's query and
+    match P everywhere else, so they would collide with each other.  A line
+    through P avoiding Q restores separation.
     Such a line is never already present: any line of the system through P
     would give Q a matching yes.
     """
@@ -292,10 +290,6 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
         sigs = signatures(QuerySet(qs.q, 3, tuple(queries[:idx] + queries[idx + 1 :])))
         mine = sigs[geom.rank(p)]
         partners = [x for x, s in zip(geom.points, sigs) if x != p and s == mine]
-        if len(partners) > 1:
-            raise UniquenessViolation(
-                f"point {p} collides with {len(partners)} points without its query"
-            )
         pencil = geom.pencil(queries[idx])
         if partners:
             choice = next(ln for ln in pencil if not ln.contains(partners[0]))
@@ -333,7 +327,7 @@ def brute_force_minimum(
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     if max_size > BRUTE_SIZE_CAP:
         raise TooLarge(f"size cap is {BRUTE_SIZE_CAP}, asked for {max_size}")
-    npoints = point_count(n, q, BRUTE_POINT_CAP)
+    point_count(n, q, BRUTE_POINT_CAP)
     geom = geometry(n, q)
     if restrict_to_hyperplanes:
         universe = list(geom.subspaces(n - 1))
@@ -345,8 +339,6 @@ def brute_force_minimum(
         # classes holds only the unfinished (multi-point) cells
         if not classes:
             return list(chosen)
-        if budget == 0:
-            return None
         worst = max(c.bit_count() for c in classes)
         if (worst - 1).bit_length() > budget:
             return None
@@ -362,8 +354,8 @@ def brute_force_minimum(
             chosen.pop()
         return None
 
-    start_classes = [geom.full_mask] if npoints > 1 else []
-    for size in range(0 if npoints <= 1 else 1, max_size + 1):
+    start_classes = [c for c in (geom.full_mask,) if c.bit_count() > 1]
+    for size in range(max_size + 1):
         got = dfs(0, start_classes, [], size)
         if got is not None:
             return QuerySet(q, n, tuple(universe[i] for i in got))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qsearch
 from qsearch.cli import main
 from qsearch.gf import PRIMALITY_BOUND
+from qsearch.projspace import geometry
 
 SCHEMA = json.loads(
     (Path(qsearch.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -118,6 +119,32 @@ def test_replay_detects_tampering(capsys, tmp_path):
     code, rep = run_json(capsys, "replay", str(saved))
     assert code == 1
     assert rep["match"] is False
+
+
+def test_replay_rejects_a_boolean_count(capsys, tmp_path):
+    # JSON true passes isinstance(_, int); the file is malformed, not a
+    # game that fails to match
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 3, "q": 3, "searcher": "plane", "oracle": "fixed:1,0,0",
+                                "entries": [], "outcome": {}, "count": True}))
+    code, out, err = run(capsys, "replay", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: transcript key 'count' must be a int\n"
+
+
+def test_construct_and_verify_list_no_point(capsys, tmp_path):
+    # separation reads masks and signatures, which need only the point count
+    geometry.cache_clear()
+    for method in (("explicit",), ("random", "--seed", "1")):
+        out = str(tmp_path / "sys.txt")
+        code, _, _ = run(
+            capsys, "construct", "--n", "4", "--q", "5", "--method", *method, "--out", out
+        )
+        assert code == 0
+        code, rep = run_json(capsys, "verify", out)
+        assert code == 0 and rep["separating"] is True
+        assert "points" not in vars(geometry(4, 5))
 
 
 def test_replay_missing_file(capsys):

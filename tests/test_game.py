@@ -667,6 +667,10 @@ def test_registry_error_names_the_input(kind, name):
     assert exc.value.__suppress_context__
 
 
+_GAME = {"n": 3, "q": 3, "searcher": "plane", "oracle": "fixed:1,0,0",
+         "entries": [], "outcome": {}, "count": 0}
+
+
 @pytest.mark.parametrize(
     "doc,problem",
     [
@@ -678,6 +682,10 @@ def test_registry_error_names_the_input(kind, name):
         ({"n": 3, "q": 3, "searcher": "plane", "oracle": "fixed:1,0,0",
           "entries": 5, "outcome": {}, "count": 0}, "'entries'"),
         ([3, 3], "object"),
+        # a JSON boolean is an int to isinstance, but no count or order
+        ({**_GAME, "count": True}, "key 'count' must be a int"),
+        ({**_GAME, "n": True}, "key 'n' must be a int"),
+        ({**_GAME, "q": False}, "key 'q' must be a int"),
     ],
 )
 def test_transcript_from_json_rejects_malformed(doc, problem):
@@ -738,6 +746,8 @@ def test_query_dimension_guards():
 
     with pytest.raises(DimensionMismatch):
         run_game(WrongField(), FixedOracle(2, (1, 0, 0)), 3, 2)
+    with pytest.raises(DimensionMismatch):
+        sweep(WrongField(), 3, 2)
     # the referee's game and the oracle's point live in different spaces
     with pytest.raises(DimensionMismatch, match=r"GF\(3\)\^3 subspace in PG\(3, 3\)"):
         run_game(PlaneSearcher(3), FixedOracle(3, (1, 0, 0, 0)), 3, 3)

@@ -140,6 +140,8 @@ def test_coeffs_round_trip(q):
         assert len(cs) <= F.e
         assert all(0 <= c < F.p for c in cs)
         assert F._from_poly(cs) == a
+        # the zero polynomial is the empty tuple, and it absorbs
+        assert _poly_mul((), cs, F.p) == _poly_mul(cs, (), F.p) == ()
 
 
 @given(

@@ -86,6 +86,11 @@ def test_point_counts(n, q, count):
     assert len(set(pts)) == count
     assert pts == sorted(pts)  # lexicographic streaming order
     assert all(p[next(i for i in range(n) if p[i])] == 1 for p in pts)
+    # a geometry counts its points without listing them, and lists them
+    # in the same order on first read
+    geom = Geometry(n, q)
+    assert geom.full_mask.bit_length() == count and "points" not in vars(geom)
+    assert geom.points == pts
 
 
 def test_first_and_last_points():

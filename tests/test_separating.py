@@ -252,6 +252,24 @@ def test_points_to_lines_mixed(mixed_system_factory):
     assert is_separating(out)
 
 
+@pytest.mark.parametrize("q", (3, 4))
+def test_a_point_query_of_a_minimal_system_has_at_most_one_partner(
+    mixed_system_factory, q
+):
+    # points_to_lines relies on this: two points that collide with p once
+    # p's query is gone would also collide with each other
+    geom = geometry(3, q)
+    for seed in range(50):
+        qs = mixed_system_factory(q, seed)
+        for idx, s in enumerate(qs.queries):
+            if s.k != 1:
+                continue
+            rest = QuerySet(q, 3, qs.queries[:idx] + qs.queries[idx + 1 :])
+            sigs = signatures(rest)
+            mine = sigs[geom.rank(s.basis[0])]
+            assert sigs.count(mine) <= 2, (seed, s)
+
+
 def test_points_to_lines_needs_plane():
     qs = explicit_construction(4, 2)
     with pytest.raises(WrongDimension):
@@ -270,6 +288,9 @@ def test_brute_force_minimum_frozen():
     assert is_separating(qs)
     assert all(s.k == 2 for s in qs.queries)
     assert len(brute_force_minimum(2, 3)) == 3
+    # one point is told apart by no query at all
+    for q in (2, 3, 4):
+        assert brute_force_minimum(1, q) == QuerySet(q, 1, ())
 
 
 def test_brute_force_minimum_all_dims():
