@@ -26,10 +26,8 @@ from .projspace import (
     Geometry,
     Subspace,
     WrongDimension,
-    basis_extension,
     geometry,
     normalize,
-    pencil_within,
 )
 from .record import Record, _set
 from .separating import coordinate_hyperplane, ratio_hyperplane
@@ -259,23 +257,53 @@ class PlaneSearcher:
 
 
 @lru_cache(maxsize=None)
-def _round(ctx: Subspace, known_not: Subspace | None):
-    """One round of the inductive descent inside ctx: the pencil axis u,
-    the pencil members to ask about in order, each of them lifted to a
-    hyperplane of the full space with its mask, and the member inferred
-    when every ask gets NO.  known_not, when given, is a hyperplane of ctx
-    known not to contain the hidden line; it is skipped, so only q-1
-    members are asked."""
-    q, n = ctx.q, ctx.n
-    base = known_not if known_not is not None else ctx
-    u = Subspace(q, n, base.basis[: ctx.k - 2])
-    *to_ask, fallback = [w for w in pencil_within(ctx, u) if w != known_not]
-    # a complement of ctx lifts each member w to the hyperplane of the
-    # full space whose intersection with ctx is exactly w
-    comp = tuple(basis_extension(ctx, Subspace.full(q, n).basis))
-    asks = tuple(Subspace.span(q, n, w.basis + comp) for w in to_ask)
-    masks = tuple(map(geometry(n, q).mask, asks))
-    return u, tuple(to_ask), asks, masks, fallback
+def _round(n: int, q: int, state: tuple[int, int, int, bool]):
+    """One round of the inductive descent in closed form: the asked
+    hyperplanes in order, each with its mask and the state a YES to it leads
+    to, and the state reached when every ask gets NO.
+
+    The state (m, z, lam, known) stands for the context
+    ctx = span(e_0, ..., e_{m-1}, L), the subspace known to hold the hidden
+    line, where L is the last echelon row of ctx: it has its leading 1 at a
+    coordinate >= m, z is its last nonzero coordinate and lam = L_z.  known
+    says that span(e_0, ..., e_{m-1}) is known not to hold the hidden line.
+    The descent starts at (n-1, n-1, 1, False), with L = e_{n-1}, and ends
+    at m = 0, where ctx is a point.
+
+    A round splits ctx by the pencil of its hyperplanes through
+    u = span(e_0, ..., e_{m-2}).  Extending u by a = e_{m-1} and b = L, the
+    members are span(u, L), where x_{m-1} = 0, and span(u, e_{m-1} + s L)
+    for s in GF(q).  Sorted by basis they come in that order, s by s: L is
+    0 at coordinate m-1, and e_{m-1} + s L first differs across s at L's
+    leading 1.  So
+    - x_{m-1} = 0 keeps L and known: (m-1, z, lam, known);
+    - s = 0 is span(e_0, ..., e_{m-1}); its new last row is e_{m-1}, so it
+      leads to (m-1, m-1, 1, True).  Once known, it is the member known to
+      miss the hidden line, and it is skipped;
+    - s != 0 has last row e_{m-1} + s L, so it leads to (m-1, z, s lam, True);
+    - the last member, s = q-1, is not asked but inferred when every other
+      member gets a NO.
+    A YES to any other member than x_{m-1} = 0, or the fallback, means that
+    x_{m-1} = 0 got a NO, so u misses the hidden line and known is set; a
+    subspace of a missed one is missed too, so known is never cleared.
+
+    Each asked member w of ctx is lifted to the hyperplane of the full space
+    whose intersection with ctx is w, by adding a complement of ctx.  The
+    greedy complement by unit vectors is {e_i : i >= m, i != z}: L lies in
+    the span of e_m, ..., e_z with L_z != 0, so e_z is the one unit past
+    e_{m-1} that ctx and the units before it already span.  Adding the
+    complement turns L into lam e_z, so the lifts are
+    coordinate_hyperplane(m-1) for x_{m-1} = 0, coordinate_hyperplane(z) for
+    s = 0, and ratio_hyperplane(m-1, z, s lam), the hyperplane
+    v_z = s lam v_{m-1}, for s != 0.  No round needs an rref."""
+    m, z, lam, known = state
+    geom = geometry(n, q)
+    *ratios, last = [geom.F.mul(s, lam) for s in range(1, q)]
+    asks = [(coordinate_hyperplane(q, n, m - 1), (m - 1, z, lam, known))]
+    if not known:
+        asks.append((coordinate_hyperplane(q, n, z), (m - 1, m - 1, 1, True)))
+    asks += [(ratio_hyperplane(q, n, m - 1, z, r), (m - 1, z, r, True)) for r in ratios]
+    return tuple((h, geom.mask(h), nxt) for h, nxt in asks), (m - 1, z, last, True)
 
 
 class InductiveSearcher:
@@ -287,6 +315,12 @@ class InductiveSearcher:
     line, each later round needs only q-1 questions: the pencil through a
     hyperplane of the excluded subspace has one member ruled out for free,
     and the last member is inferred when all others fail.
+
+    Every context the plan reaches is span(e_0, ..., e_{m-1}, L) for a last
+    echelon row L, and every member it asks about lifts to a coordinate
+    hyperplane v_i = 0 or a ratio hyperplane v_j = lam v_i.  So the plan is
+    kept in closed form, as a small state per round (see `_round`), and
+    asks only those hyperplanes.
     """
 
     def __init__(self, n: int, q: int):
@@ -298,22 +332,22 @@ class InductiveSearcher:
         cand = view.candidates
         if cand.bit_count() == 1:
             return ("announce", view.geom.lowest_point(cand))
-        ctx, known_not = Subspace.full(self.q, self.n), None
+        state = (self.n - 1, self.n - 1, 1, False)
         # walk the plan from the full space: a member holding no candidate
         # got a NO, so the round moves on; the plan descends into a member
         # holding them all, which got a YES, or into the fallback once every
         # member got a NO.  The first member that splits them is asked next.
-        while ctx.k > 1:
-            u, to_ask, asks, masks, fallback = _round(ctx, known_not)
-            for j, m in enumerate(masks):
+        while state[0]:
+            asks, fallback = _round(self.n, self.q, state)
+            for ask, m, nxt in asks:
                 inside = cand & m
                 if inside == cand:
-                    ctx, known_not = to_ask[j], (None if j == 0 and known_not is None else u)
+                    state = nxt
                     break
                 if inside:
-                    return ("ask", asks[j])
+                    return ("ask", ask)
             else:
-                ctx, known_not = fallback, u
+                state = fallback
         raise InternalInconsistency("plan finished with more than one consistent point")
 
 

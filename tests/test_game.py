@@ -1,10 +1,20 @@
 import json
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 
-from qsearch import game
-from qsearch.projspace import DimensionMismatch, Geometry, Subspace, WrongDimension, geometry
+from qsearch import game, projspace, separating
+from qsearch.projspace import (
+    DimensionMismatch,
+    Geometry,
+    Subspace,
+    WrongDimension,
+    basis_extension,
+    geometry,
+    pencil_within,
+)
 from qsearch.game import (
     NO,
     YES,
@@ -171,11 +181,32 @@ def _plane_by_history(n, q, geom, history, cand):
     return ("ask", Subspace.span(q, 3, [geom.lowest_point(cand)]))
 
 
+@lru_cache(maxsize=None)
+def _pencil_round(ctx, known_not):
+    """One round of the inductive descent inside ctx as first written, by
+    pencils and lifts: the test oracle for game._round.  It returns the
+    pencil axis u, the pencil members to ask about in order, each of them
+    lifted to a hyperplane of the full space with its mask, and the member
+    inferred when every ask gets NO.  known_not, when given, is a hyperplane
+    of ctx known not to contain the hidden line; it is skipped, so only q-1
+    members are asked."""
+    q, n = ctx.q, ctx.n
+    base = known_not if known_not is not None else ctx
+    u = Subspace(q, n, base.basis[: ctx.k - 2])
+    *to_ask, fallback = [w for w in pencil_within(ctx, u) if w != known_not]
+    # a complement of ctx lifts each member w to the hyperplane of the
+    # full space whose intersection with ctx is exactly w
+    comp = tuple(basis_extension(ctx, Subspace.full(q, n).basis))
+    asks = tuple(Subspace.span(q, n, w.basis + comp) for w in to_ask)
+    masks = tuple(map(geometry(n, q).mask, asks))
+    return u, tuple(to_ask), asks, masks, fallback
+
+
 def _inductive_by_history(n, q, geom, history, cand):
     if cand.bit_count() == 1:
         return ("announce", geom.lowest_point(cand))
     ctx, known_not, j = Subspace.full(q, n), None, 0
-    u, to_ask, asks, _, fallback = _round(ctx, known_not)
+    u, to_ask, asks, _, fallback = _pencil_round(ctx, known_not)
     for _, ans in history:
         if not ans.yes and j + 1 < len(to_ask):
             j += 1
@@ -187,7 +218,7 @@ def _inductive_by_history(n, q, geom, history, cand):
         if ctx.k == 1:
             break
         j = 0
-        u, to_ask, asks, _, fallback = _round(ctx, known_not)
+        u, to_ask, asks, _, fallback = _pencil_round(ctx, known_not)
     if ctx.k == 1:
         raise InternalInconsistency("plan finished with more than one consistent point")
     return ("ask", asks[j])
@@ -249,6 +280,55 @@ def test_searchers_decide_as_the_history_readers_against_the_adversary(q):
         adversary = AdversaryOracle(q)
         nodes = _walk_both(name, 3, q, lambda query, history: (adversary.answer(query, history),))
         assert nodes >= 2 * q  # 2q-1 queries and the announcement
+
+
+@pytest.mark.parametrize("n,q", ((6, 7), (5, 9), (7, 5), (3, 97), (2, 1021)))
+def test_closed_form_rounds_match_the_pencil_plan(n, q):
+    # every round of the plan, one at a time from the root, at sizes where
+    # the walk over every answer-tree node is too slow: the closed-form state
+    # describes the pencil plan's context, and the two rounds ask the same
+    # hyperplanes with the same masks and lead to the same next rounds
+    units = Subspace.full(q, n).basis
+    stack, rounds = [((n - 1, n - 1, 1, False), Subspace.full(q, n), None)], 0
+    while stack:
+        state, ctx, known_not = stack.pop()
+        m, z, lam, known = state
+        last = ctx.basis[-1]
+        assert ctx.k == m + 1 and ctx.basis[:m] == units[:m], (state, ctx)
+        assert max(i for i, c in enumerate(last) if c) == z and last[z] == lam, (state, ctx)
+        assert known == (known_not is not None)
+        if not m:
+            continue
+        asks, fallback = _round(n, q, state)
+        u, to_ask, lifts, masks, last_member = _pencil_round(ctx, known_not)
+        assert [h for h, _, _ in asks] == list(lifts)
+        assert [mask for _, mask, _ in asks] == list(masks)
+        for j, ((_, _, nxt), w) in enumerate(zip(asks, to_ask)):
+            stack.append((nxt, w, None if j == 0 and known_not is None else u))
+        stack.append((fallback, last_member, u))
+        rounds += 1
+    # at each m one round has known unset, and each round at m+1 leads to q
+    # with known set, so m has (q^(n-m) - 1)/(q - 1) rounds
+    assert rounds == sum((q ** (n - m) - 1) // (q - 1) for m in range(1, n))
+
+
+@pytest.mark.parametrize("name", ("inductive", "two-round"))
+@pytest.mark.parametrize("n,q", ((5, 5), (4, 9)))
+def test_a_cold_sweep_makes_no_rref_call(name, n, q, monkeypatch):
+    # the plans ask coordinate and ratio hyperplanes, built in echelon form;
+    # the inductive sweep caches one mask per hyperplane it asks, at most
+    # the n coordinate and C(n,2)(q-1) ratio hyperplanes
+    geom = Geometry(n, q)
+    monkeypatch.setattr(game, "geometry", lambda n, q: geom)
+    _round.cache_clear()
+    separating.ratio_hyperplane.cache_clear()
+    calls, rref = [], projspace.rref
+    monkeypatch.setattr(projspace, "rref", lambda q, rows: calls.append(q) or rref(q, rows))
+    games = sweep(searcher_from_name(name, n, q), n, q)
+    assert all(found for _, _, found in games)
+    assert len(calls) == 0
+    if name == "inductive":
+        assert len(geom._mask_cache) <= n + comb(n, 2) * (q - 1)
 
 
 class Stubborn:

@@ -123,6 +123,20 @@ def test_ratio_hyperplane():
         ratio_hyperplane(3, 3, 0, 1, 0)
 
 
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 4), (3, 8), (4, 9), (5, 5), (6, 7)])
+def test_ratio_hyperplane_is_the_echelon_form_of_its_rows(n, q):
+    # built in echelon form with no rref: it must be what span reduces the
+    # docstring's rows to
+    units = Subspace.full(q, n).basis
+    for i in range(n):
+        for j in range(i + 1, n):
+            for lam in range(1, q):
+                tie = tuple(1 if c == i else lam if c == j else 0 for c in range(n))
+                rows = [e for k, e in enumerate(units) if k not in (i, j)] + [tie]
+                h = ratio_hyperplane(q, n, i, j, lam)
+                assert h.basis == Subspace.span(q, n, rows).basis, (i, j, lam)
+
+
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 3), (3, 4), (3, 8), (3, 9), (4, 3), (4, 5)])
 def test_ratio_hyperplane_matches_equation(n, q):
     # the spanned hyperplane holds exactly the points with p_j = lam * p_i
