@@ -8,7 +8,8 @@ equal as values.
 
 `Geometry` lists all points of a fixed (n, q) and represents point sets
 as int bitmasks, bit i standing for the i-th point in global lexicographic
-order; a point's index is computed in closed form (`Geometry.rank`).
+order; a point's index is computed in closed form (`Geometry.rank`), and
+so is the point of an index (`Geometry.point`).
 Everything downstream that filters candidate lines works on these masks.
 A subspace's mask is the AND of the masks of the hyperplanes that cut it
 out, and a hyperplane's mask is built per lead block of points by a base-q
@@ -339,6 +340,23 @@ class Geometry:
         except (AttributeError, IndexError, TypeError, ValueError):
             pass
         raise KeyError(p)
+
+    def point(self, i: int) -> tuple[int, ...]:
+        """The point of index i in `points`, in closed form: the inverse of
+        `rank`.  Lead blocks hold 1, q, q^2, ... points in turn, and the
+        coordinates after a point's leading 1 are the base-q digits of its
+        offset within its block.  IndexError outside the point range."""
+        if not 0 <= i < self.full_mask.bit_length():
+            raise IndexError(f"point index {i} out of range")
+        q, m, size = self.q, 0, 1
+        while i >= size:
+            i -= size
+            m, size = m + 1, size * q
+        digits = []
+        for _ in range(m):
+            i, d = divmod(i, q)
+            digits.append(d)
+        return (0,) * (self.n - 1 - m) + (1,) + tuple(reversed(digits))
 
     def mask(self, s: Subspace) -> int:
         """Bitmask of the projective points inside a subspace.

@@ -9,11 +9,13 @@ exact minima by exhaustive search on small instances.
 
 Every separation question reads one table, `signatures`: each point's
 answer vector as an int whose bit j answers query j.  The pencil count
-behind `oracle claim-count` reads one such table per pencil.
+behind `oracle claim-count` reads one such table per pencil, transposed
+so that each point's pencil signatures sit in one tuple.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -110,21 +112,33 @@ def signatures(qs: QuerySet) -> list[int]:
             bits = format(geom.mask(s), f"0{P}b").encode().translate(_BYTE_BITS)
             lane |= int.from_bytes(bits, "big") << b  # byte i is point i's bit
         buf[L::W] = lane.to_bytes(P, "little")
-    return [int.from_bytes(buf[i : i + W], "little") for i in range(0, P * W, W)]
+    data = bytes(buf)  # slices of bytes are cheaper rows than of a bytearray
+    del buf
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + W], "little") for i in range(0, P * W, W)]
 
 
 def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """None when separating, else the lexicographically first colliding pair:
-    the two lowest points of the colliding class whose lowest comes first."""
-    first: dict[int, int] = {}
-    pair = None
-    for i, s in enumerate(signatures(qs)):
-        f = first.setdefault(s, i)
-        if f != i and (pair is None or f < pair[0]):
-            pair = (f, i)
-    if pair is None:
+    the two lowest points of the colliding class whose lowest comes first.
+
+    The verdict needs only the set of distinct signatures.  On a collision,
+    a second pass over that set marks the signatures met twice; the first
+    point holding one of them and the next point with its signature are
+    the pair, named by `Geometry.point` without listing the geometry."""
+    sigs = signatures(qs)
+    unseen = set(sigs)
+    if len(unseen) == len(sigs):
         return None
-    return tuple(geometry(qs.n, qs.q).points[i] for i in pair)
+    shared = set()
+    for s in sigs:
+        if s in unseen:
+            unseen.remove(s)
+        else:
+            shared.add(s)
+    f = next(i for i, s in enumerate(sigs) if s in shared)
+    geom = geometry(qs.n, qs.q)
+    return geom.point(f), geom.point(sigs.index(sigs[f], f + 1))
 
 
 def is_separating(qs: QuerySet) -> bool:
@@ -226,11 +240,12 @@ def unseparated_pencil_count(n: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pencil_signatures(n: int, q: int) -> list[list[int]]:
-    """The signature table of the pencil through each (n-2)-subspace."""
+def _pencil_signatures(n: int, q: int) -> list[tuple[int, ...]]:
+    """Per point, its signature under the pencil through each
+    (n-2)-subspace: the pencils' signature tables, transposed."""
     geom = geometry(n, q)
     pencils = (QuerySet(q, n, tuple(geom.pencil(s))) for s in geom.subspaces(n - 2))
-    return [signatures(qs) for qs in pencils]
+    return list(zip(*(signatures(qs) for qs in pencils)))
 
 
 def count_unseparated_bruteforce(
@@ -241,7 +256,8 @@ def count_unseparated_bruteforce(
     i, j = (geom.rank(normalize(q, p)) for p in (u, v))
     if i == j:
         raise ValueError("points must be distinct")
-    return sum(t[i] == t[j] for t in _pencil_signatures(n, q))
+    cols = _pencil_signatures(n, q)
+    return sum(map(operator.eq, cols[i], cols[j]))
 
 
 # ---------------------------------------------------------------------------

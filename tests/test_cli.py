@@ -134,17 +134,27 @@ def test_replay_rejects_a_boolean_count(capsys, tmp_path):
 
 
 def test_construct_and_verify_list_no_point(capsys, tmp_path):
-    # separation reads masks and signatures, which need only the point count
+    # separation reads masks and signatures, which need only the point
+    # count, and a collision's two points are named in closed form
     geometry.cache_clear()
-    for method in (("explicit",), ("random", "--seed", "1")):
-        out = str(tmp_path / "sys.txt")
+    for method in (("random", "--seed", "1"), ("explicit",)):
+        out = tmp_path / "sys.txt"
         code, _, _ = run(
-            capsys, "construct", "--n", "4", "--q", "5", "--method", *method, "--out", out
+            capsys, "construct", "--n", "4", "--q", "5", "--method", *method, "--out", str(out)
         )
         assert code == 0
-        code, rep = run_json(capsys, "verify", out)
+        code, rep = run_json(capsys, "verify", str(out))
         assert code == 0 and rep["separating"] is True
         assert "points" not in vars(geometry(4, 5))
+    # the explicit system, missing its last query
+    head, *lines = out.read_text().splitlines()
+    q, n, count = head.split()
+    broken = tmp_path / "broken.txt"
+    broken.write_text("\n".join([f"{q} {n} {int(count) - 1}", *lines[:-1]]) + "\n")
+    code, rep = run_json(capsys, "verify", str(broken))
+    assert code == 1 and rep["separating"] is False
+    assert rep["witness"] == [[0, 0, 1, 3], [0, 0, 1, 4]]  # as the dict loop named it
+    assert "points" not in vars(geometry(4, 5))
 
 
 def test_replay_missing_file(capsys):

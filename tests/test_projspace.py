@@ -392,6 +392,19 @@ def test_rank_is_the_index_of_every_point(n, q):
 
 
 @pytest.mark.parametrize(
+    "n,q", [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (5, 5), (3, 9), (6, 7)]
+)
+def test_point_is_the_inverse_of_rank(n, q):
+    geom = Geometry(n, q)
+    pts = list(enumerate_points(n, q))
+    assert [geom.point(i) for i in range(len(pts))] == pts
+    for i in (-1, len(pts)):
+        with pytest.raises(IndexError):
+            geom.point(i)
+    assert "points" not in vars(geom)  # named in closed form, none listed
+
+
+@pytest.mark.parametrize(
     "p",
     [(), (1, 0), (1, 0, 0, 0), (0, 0, 0), (2, 0, 0), (0, 3, 1), (1, 3, 0),
      (1, -1, 0), (0, 1, 7), (1, 0.5, 0), (1, "0", 0), [1, 0, 0], None],

@@ -401,6 +401,44 @@ def refinement_witness(qs):
     return (geom.lowest_point(c), geom.lowest_point(c & (c - 1)))
 
 
+def dict_witness(qs):
+    """The first-index dict loop the set-based witness replaced: the pair
+    whose first point is lowest, with the next point of its signature."""
+    first, pair = {}, None
+    for i, s in enumerate(signatures(qs)):
+        f = first.setdefault(s, i)
+        if f != i and (pair is None or f < pair[0]):
+            pair = (f, i)
+    if pair is None:
+        return None
+    return tuple(geometry(qs.n, qs.q).points[i] for i in pair)
+
+
+@pytest.mark.parametrize(
+    "n,q", [(2, 3), (3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)]
+)
+def test_witness_matches_the_dict_loop(n, q):
+    # the empty system, every explicit system one query short, and seeded
+    # sub-systems of the explicit and of random systems
+    rng = random.Random(f"witness:{n}:{q}")
+    explicit = explicit_construction(n, q).queries
+    systems = [()] + [explicit[:i] + explicit[i + 1 :] for i in range(len(explicit))]
+    sources = [explicit]
+    if n >= 3:
+        sources.append(random_construction_trace(n, q, seed=rng.randrange(100))[0].queries)
+    for src in sources:
+        for _ in range(40):
+            keep = rng.random()
+            systems.append(tuple(s for s in src if rng.random() < keep))
+    broken = 0
+    for queries in systems:
+        qs = QuerySet(q, n, queries)
+        wit = dict_witness(qs)
+        assert separating_witness(qs) == wit
+        broken += wit is not None
+    assert broken >= len(explicit) + 1  # no explicit query can be dropped
+
+
 def recheck_minimal(qs):
     """The rebuild-and-recheck reduction: drop each query in reverse order
     when the rebuilt system without it still separates."""
