@@ -27,6 +27,7 @@ from .projspace import (
     Subspace,
     WrongDimension,
     geometry,
+    hyperplane,
     normalize,
 )
 from .record import Record, _set
@@ -202,11 +203,11 @@ def sweep(searcher, n: int, q: int) -> list[tuple]:
                     key = (sub & -sub).bit_length() - 1
                     heapq.heappush(pending, (key, asked + 1, sub))
         elif kind == "identified":
-            out[low] = (geom.points[low], asked, True)
+            out[low] = (got, asked, True)
         else:  # aborted: every candidate's game stops here
             while cand:
                 i = (cand & -cand).bit_length() - 1
-                out[i] = (geom.points[i], asked, False)
+                out[i] = (geom.point(i), asked, False)
                 cand &= cand - 1
     return out
 
@@ -237,7 +238,7 @@ class PlaneSearcher:
         self.q = q
         self.name = "plane"
         geom = geometry(3, q)
-        lines = geom.pencil(Subspace.span(q, 3, [geom.points[0]]))[:q]
+        lines = geom.pencil(Subspace(q, 3, (geom.point(0),)))[:q]
         self.lines = tuple((ln, geom.mask(ln)) for ln in lines)
 
     def decide(self, view: GameView):
@@ -417,17 +418,20 @@ class FixedOracle:
 def _completions(geom: Geometry, unc: int) -> list[Subspace]:
     """The lines holding every point of the mask unc, in lexicographic basis
     order: all of them when unc is empty, the pencil of a lone point, and
-    otherwise at most the line through its two lowest points.  So a call
-    builds at most the q+1 masks of one pencil, and a game O(q) masks."""
+    otherwise at most the line through its two lowest points, the line
+    normal to their cross product.  So a call builds at most the q+1 masks
+    of one pencil, and a game O(q) masks."""
     if unc == 0:
         return sorted(geom.subspaces(2), key=lambda s: s.basis)
     if unc.bit_count() > geom.q + 1:  # more than a line holds
         return []
-    p1 = geom.lowest_point(unc)
+    p = geom.lowest_point(unc)
     if unc.bit_count() == 1:
         # a canonical point is the echelon basis of its own span
-        return list(geom.pencil(Subspace(geom.q, 3, (p1,))))
-    ln = Subspace.span(geom.q, 3, [p1, geom.lowest_point(unc & (unc - 1))])
+        return list(geom.pencil(Subspace(geom.q, 3, (p,))))
+    r, F = geom.lowest_point(unc & (unc - 1)), geom.F
+    cross = [F.sub(F.mul(p[i - 2], r[i - 1]), F.mul(p[i - 1], r[i - 2])) for i in range(3)]
+    ln = hyperplane(geom.q, 3, cross)
     return [ln] if geom.mask(ln) & unc == unc else []
 
 

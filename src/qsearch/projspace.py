@@ -14,6 +14,8 @@ Everything downstream that filters candidate lines works on these masks.
 A subspace's mask is the AND of the masks of the hyperplanes that cut it
 out, and a hyperplane's mask is built per lead block of points by a base-q
 digit recursion over its coefficients: there is no loop over points.
+Every hyperplane a query asks is written down from its normal
+(`hyperplane`), so no derived subspace goes through elimination.
 """
 
 from __future__ import annotations
@@ -224,34 +226,33 @@ class Subspace(Record):
         return sub
 
 
-def basis_extension(s: Subspace, vectors) -> list[tuple[int, ...]]:
-    """The vectors, in order, that each enlarge the span of s and of the
-    vectors kept before them."""
+def normals(s: Subspace) -> list[list[int]]:
+    """A basis of the normals a of the hyperplanes a.x = 0 that hold s, one
+    for each non-pivot column f of its echelon basis: a_f = 1 and
+    a_p = -basis[i][f] at the pivot p of each row i.  Pivots before f are
+    the only other nonzero entries, so the last nonzero coefficient is 1."""
+    F, pivots = field(s.q), s.pivots()
     out = []
-    for v in vectors:
-        if s.k == s.n:
-            break
-        if not s.contains(v):
-            out.append(v)
-            s = Subspace.span(s.q, s.n, s.basis + (v,))
+    for f in range(s.n):
+        if f not in pivots:
+            a = [int(j == f) for j in range(s.n)]
+            for pc, row in zip(pivots, s.basis):
+                a[pc] = F.neg(row[f])
+            out.append(a)
     return out
 
 
-def pencil_within(ctx: Subspace, u: Subspace) -> list[Subspace]:
-    """The q+1 subspaces of ctx one dimension below it that contain u, a
-    subspace of ctx of dimension ctx.k - 2, sorted by basis tuple.
-
-    With a, b extending u to ctx, they are span(u, a) and span(u, t*a + b)
-    for t in GF(q)."""
-    if u.k != ctx.k - 2:
-        raise WrongDimension(f"need dimension {ctx.k - 2}, got {u.k}")
-    q, n = ctx.q, ctx.n
-    F = field(q)
-    a, b = basis_extension(u, ctx.basis)
-    tops = [a] + [tuple(F.axpy(t, a, b)) for t in range(q)]
-    out = [Subspace.span(q, n, u.basis + (v,)) for v in tops]
-    out.sort(key=lambda s: s.basis)
-    return out
+def hyperplane(q: int, n: int, a) -> Subspace:
+    """The hyperplane a.x = 0, its echelon basis written down directly: with
+    c the last nonzero index of a, the rows e_i - (a_i / a_c) e_c for i < c,
+    then e_i for i > c.  Column c is the only non-pivot column."""
+    c = max((i for i, x in enumerate(a) if x), default=None)
+    if c is None:
+        raise ZeroVector(f"the zero vector in GF({q})^{n} is the normal of no hyperplane")
+    F, units = field(q), Subspace.full(q, n).basis
+    r = F.neg(F.inv(a[c]))
+    ties = tuple(units[i][:c] + (F.mul(r, a[i]),) + units[i][c + 1 :] for i in range(c))
+    return Subspace(q, n, ties + units[c + 1 :])
 
 
 def enumerate_subspaces(n: int, q: int, k: int):
@@ -330,12 +331,13 @@ class Geometry:
         coordinates after the leading 1, the point's lead block starts at
         1 + q + ... + q^(m-1), and those coordinates are base-q digits, so
         the index is those coordinates plus one each, read in base q.
-        KeyError for anything that is not a point of this geometry."""
+        KeyError for anything that is not a point of this geometry: the
+        point of that index rules out a wrong length, range or lead."""
         try:
             i = 0
             for c in p[p.index(1) + 1 :]:
                 i = i * self.q + c + 1
-            if self.points[i] == p:  # rules out a wrong length, range or lead
+            if type(i) is int and self.point(i) == p:
                 return i
         except (AttributeError, IndexError, TypeError, ValueError):
             pass
@@ -362,9 +364,8 @@ class Geometry:
         """Bitmask of the projective points inside a subspace.
 
         It is the AND of the masks of the hyperplanes a.x = 0 that cut it
-        out, one for each non-pivot column f of the echelon basis: a_f = 1
-        and a_p = -basis[i][f] at the pivot p of each row i.  Neither step
-        loops over points (see `_hyperplane_mask`).
+        out, one for each of its `normals`.  Neither step loops over points
+        (see `_hyperplane_mask`).
         """
         got = self._mask_cache.get(s)
         if got is not None:
@@ -375,22 +376,16 @@ class Geometry:
             )
         if s.k == 1:  # a point is its bit; cached, P point masks hold P^2 bits
             return 1 << self.rank(s.basis[0])
-        F, pivots = self.F, s.pivots()
         m = self.full_mask
-        for f in range(self.n):
-            if f not in pivots:
-                a = [0] * self.n
-                a[f] = 1
-                for pc, row in zip(pivots, s.basis):
-                    a[pc] = F.neg(row[f])
-                m &= self._hyperplane_mask(a)
+        for a in normals(s):
+            m &= self._hyperplane_mask(a)
         self._mask_cache[s] = m
         return m
 
     def _hyperplane_mask(self, a: list[int]) -> int:
         """Bitmask of the hyperplane a.x = 0, with no loop over points.  The
-        last nonzero coefficient of a must be 1, as in the vectors `mask`
-        reads off an echelon basis.
+        last nonzero coefficient of a must be 1, as in the `normals` of an
+        echelon basis.
 
         Lead block l of `points` holds the points (0^l, 1, y), y in base-q
         order with y_0 the slowest digit; such a point lies on the hyperplane
@@ -422,11 +417,16 @@ class Geometry:
         return int("".join(blocks)[::-1], 2)
 
     def pencil(self, u: Subspace) -> list[Subspace]:
-        """The q+1 hyperplanes containing a subspace of dimension n-2,
-        sorted by basis tuple."""
+        """The q+1 hyperplanes containing a subspace u of dimension n-2,
+        sorted by basis tuple.  With a, b the two `normals` of u, they are
+        the hyperplanes of a and of t*a + b for t in GF(q)."""
         got = self._pencil_cache.get(u)
         if got is None:
-            got = pencil_within(Subspace.full(self.q, self.n), u)
+            if u.k != self.n - 2:
+                raise WrongDimension(f"need dimension {self.n - 2}, got {u.k}")
+            a, b = normals(u)
+            tops = [a] + [self.F.axpy(t, a, b) for t in range(self.q)]
+            got = sorted((hyperplane(self.q, self.n, v) for v in tops), key=lambda h: h.basis)
             self._pencil_cache[u] = got
         return got
 
@@ -439,7 +439,7 @@ class Geometry:
 
     def lowest_point(self, m: int) -> tuple[int, ...]:
         """The point of lowest index in a nonempty mask."""
-        return self.points[(m & -m).bit_length() - 1]
+        return self.point((m & -m).bit_length() - 1)
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,7 @@ from .projspace import (
     WrongDimension,
     gaussian_binomial,
     geometry,
+    hyperplane,
     normalize,
     point_count,
 )
@@ -153,23 +154,18 @@ def is_separating(qs: QuerySet) -> bool:
 @lru_cache(maxsize=None)
 def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
     """The hyperplane v_i = 0, spanned by the other standard vectors."""
-    units = Subspace.full(q, n).basis
-    return Subspace(q, n, units[:i] + units[i + 1 :])
+    return hyperplane(q, n, [int(c == i) for c in range(n)])
 
 
 @lru_cache(maxsize=None)
 def ratio_hyperplane(q: int, n: int, i: int, j: int, lam: int) -> Subspace:
     """The hyperplane v_j = lam * v_i for coordinates i < j, spanned by the
-    unit vectors e_k for k other than i, j and by e_i + lam * e_j.  Those
-    rows, with the tie in place of e_i, are already its echelon basis:
-    column j is the only non-pivot column, and only the tie meets it."""
+    unit vectors e_k for k other than i, j and by e_i + lam * e_j."""
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < n, got i={i} j={j} n={n}")
     if not 1 <= lam < q:
         raise ValueError(f"ratio must be a nonzero field element, got {lam}")
-    units = Subspace.full(q, n).basis
-    tie = tuple(1 if c == i else lam if c == j else 0 for c in range(n))
-    return Subspace(q, n, units[:i] + (tie,) + units[i + 1 : j] + units[j + 1 :])
+    return hyperplane(q, n, [field(q).neg(lam) if c == i else int(c == j) for c in range(n)])
 
 
 def explicit_construction(n: int, q: int) -> QuerySet:

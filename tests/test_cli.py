@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qsearch
 from qsearch.cli import main
 from qsearch.gf import PRIMALITY_BOUND
-from qsearch.projspace import geometry
+from qsearch.projspace import Subspace, geometry
 
 SCHEMA = json.loads(
     (Path(qsearch.__file__).parent / "schemas" / "report.schema.json").read_text()
@@ -154,6 +154,16 @@ def test_construct_and_verify_list_no_point(capsys, tmp_path):
     code, rep = run_json(capsys, "verify", str(broken))
     assert code == 1 and rep["separating"] is False
     assert rep["witness"] == [[0, 0, 1, 3], [0, 0, 1, 4]]  # as the dict loop named it
+    assert "points" not in vars(geometry(4, 5))
+    # nor does a single game, nor the mask of a point query
+    for strategy in ("inductive", "two-round"):
+        code, rep = run_json(
+            capsys, "adaptive", "--n", "4", "--q", "5", "--strategy", strategy,
+            "--oracle", "fixed:1,2,3,4",
+        )
+        assert code == 0 and rep["outcome"] == {"identified": [1, 2, 3, 4]}
+    point = geometry(4, 5).mask(Subspace(5, 4, ((0, 1, 2, 3),)))
+    assert point == 1 << geometry(4, 5).rank((0, 1, 2, 3))
     assert "points" not in vars(geometry(4, 5))
 
 

@@ -5,15 +5,14 @@ from math import comb
 
 import pytest
 
-from qsearch import game, projspace, separating
+from qsearch import cli, game, projspace, separating
 from qsearch.projspace import (
     DimensionMismatch,
     Geometry,
     Subspace,
     WrongDimension,
-    basis_extension,
+    enumerate_points,
     geometry,
-    pencil_within,
 )
 from qsearch.game import (
     NO,
@@ -40,6 +39,8 @@ from qsearch.game import (
     sweep,
 )
 from qsearch.separating import coordinate_hyperplane, ratio_hyperplane
+
+from pencil_reference import basis_extension, pencil_within
 
 
 def sweep_max(searcher_name: str, n: int, q: int) -> int:
@@ -329,6 +330,46 @@ def test_a_cold_sweep_makes_no_rref_call(name, n, q, monkeypatch):
     assert len(calls) == 0
     if name == "inductive":
         assert len(geom._mask_cache) <= n + comb(n, 2) * (q - 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_adversary_games_make_no_rref_call(q, monkeypatch):
+    # the plane searcher's centre, the adversary's pencils and the line
+    # through two points are written down from normals, like the plans
+    geom = Geometry(3, q)
+    monkeypatch.setattr(game, "geometry", lambda n, q: geom)
+    _round.cache_clear()
+    separating.coordinate_hyperplane.cache_clear()
+    separating.ratio_hyperplane.cache_clear()
+    calls, rref = [], projspace.rref
+    monkeypatch.setattr(projspace, "rref", lambda q, rows: calls.append(q) or rref(q, rows))
+    for name in ("plane", "inductive", "two-round", "random-lines:0"):
+        t = run_game(searcher_from_name(name, 3, q), AdversaryOracle(q), 3, q)
+        assert t.identified is not None and t.count >= 2 * q - 1
+    assert len(calls) == 0
+
+
+def test_claim_count_makes_no_rref_call(capsys, monkeypatch):
+    # every pencil of the count is written down from the normals of its axis
+    geom = Geometry(3, 8)
+    for module in (cli, separating):
+        monkeypatch.setattr(module, "geometry", lambda n, q: geom)
+    separating._pencil_signatures.cache_clear()
+    calls, rref = [], projspace.rref
+    monkeypatch.setattr(projspace, "rref", lambda q, rows: calls.append(q) or rref(q, rows))
+    assert cli.main(["oracle", "claim-count", "--n", "3", "--q", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_the_line_through_two_points_is_normal_to_their_cross_product(q):
+    geom = Geometry(3, q)
+    pts = list(enumerate_points(3, q))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            want = Subspace.span(q, 3, [pts[i], pts[j]])
+            assert _completions(geom, 1 << i | 1 << j) == [want]
 
 
 class Stubborn:

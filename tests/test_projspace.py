@@ -18,11 +18,13 @@ from qsearch.projspace import (
     enumerate_subspaces,
     gaussian_binomial,
     geometry,
+    hyperplane,
     normalize,
-    pencil_within,
     rref,
 )
 from qsearch.separating import explicit_construction
+
+from pencil_reference import pencil_within
 
 
 def test_gaussian_binomial_frozen():
@@ -251,6 +253,43 @@ def test_pencil_within_wrong_dim():
 
 
 @pytest.mark.parametrize(
+    "n,q",
+    [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9),
+     (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2)],
+)
+def test_pencil_equals_the_reference_at_every_axis(n, q):
+    # written from the two normals of u, member for member and in the order
+    # the reference builds by basis extension and one elimination per member
+    geom, full = Geometry(n, q), Subspace.full(q, n)
+    for u in geom.subspaces(n - 2):
+        assert geom.pencil(u) == pencil_within(full, u)
+
+
+def _dot(F, a, x):
+    """a.x over the field F."""
+    total = 0
+    for ai, xi in zip(a, x):
+        total = F.add(total, F.mul(ai, xi))
+    return total
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 4), (3, 5), (4, 3), (5, 2)])
+def test_hyperplane_is_the_span_of_its_kernel(n, q):
+    F, pts = field(q), list(enumerate_points(n, q))
+    for a in pts:
+        kernel = [x for x in pts if not _dot(F, a, x)]
+        want = Subspace.span(q, n, kernel)
+        assert want.k == n - 1
+        for c in range(1, q):  # a normal and its multiples name one hyperplane
+            assert hyperplane(q, n, F.axpy(c, a, [0] * n)) == want
+
+
+def test_hyperplane_of_the_zero_vector():
+    with pytest.raises(ZeroVector):
+        hyperplane(3, 3, [0, 0, 0])
+
+
+@pytest.mark.parametrize(
     "n,q,k,count",
     [(3, 2, 2, 7), (4, 2, 2, 35), (3, 3, 1, 13), (4, 3, 2, 130), (3, 4, 2, 21)],
 )
@@ -407,7 +446,8 @@ def test_point_is_the_inverse_of_rank(n, q):
 @pytest.mark.parametrize(
     "p",
     [(), (1, 0), (1, 0, 0, 0), (0, 0, 0), (2, 0, 0), (0, 3, 1), (1, 3, 0),
-     (1, -1, 0), (0, 1, 7), (1, 0.5, 0), (1, "0", 0), [1, 0, 0], None],
+     (1, -1, 0), (0, 1, 7), (1, 0.5, 0), (1, "0", 0), [1, 0, 0], None,
+     (0, 1, 0.5), (0, 1, 0.0)],
 )
 def test_rank_rejects_what_is_not_a_canonical_point(p):
     with pytest.raises(KeyError):
