@@ -83,8 +83,8 @@ def _cmd_adaptive(args) -> tuple[dict, bool]:
         o = oracle_from_name(args.oracle, n, q)
         t = run_game(s, o, n, q)
         if args.oracle == "adversary":
-            report["threshold"] = threshold = 2 * q - 1
-            ok = t.identified is not None and t.count >= threshold
+            report["threshold"] = bound
+            ok = t.identified is not None and t.count >= bound
         else:
             ok = t.identified == o.point and t.count <= bound
         report.update(count=t.count, outcome=t.outcome)

@@ -1,12 +1,11 @@
 """Adaptive search for a hidden 1-dimensional subspace of GF(q)^n.
 
 A searcher asks subspace membership queries ("is the hidden line inside
-this subspace?"); an oracle answers yes or no, optionally volunteering a
-side constraint of the form "the hidden line is (not) inside L".  The game
-runner `run_game` tracks the set of points still consistent with all
-answers and referees the final announcement.  `sweep` plays a searcher
-against every hidden point at once by walking its YES/NO answer tree, with
-the same referee rules.
+this subspace?"); an oracle answers yes or no.  The game runner `run_game`
+tracks the set of points still consistent with all answers and referees
+the final announcement.  `sweep` plays a searcher against every hidden
+point at once by walking its YES/NO answer tree, with the same referee
+rules.
 
 Searchers and oracles are stateless, so any finished game can be replayed
 bit for bit from its transcript.  A searcher is a pure function of the
@@ -27,7 +26,6 @@ from .projspace import (
     Subspace,
     WrongDimension,
     geometry,
-    hyperplane,
     normalize,
 )
 from .record import Record, _set
@@ -49,9 +47,11 @@ class InternalInconsistency(RuntimeError):
 class Answer(Record):
     __slots__ = _fields = ("yes", "volunteered")
 
-    def __init__(self, yes: bool, volunteered: tuple[str, Subspace] | None = None):
+    def __init__(self, yes: bool, volunteered: None = None):
         _set(self, "yes", yes)
-        _set(self, "volunteered", volunteered)  # ("in-line"|"not-in-line", L)
+        # always None: the benchmark's tracer reads it, so it goes with the
+        # benchmark change that stops reading it (ROADMAP item 7)
+        _set(self, "volunteered", volunteered)
 
 
 # the two bare verdicts, shared: answers are read-only values
@@ -158,13 +158,7 @@ def run_game(searcher, oracle, n: int, q: int) -> Transcript:
         if cand == 0:
             raise InconsistentOracle(f"no point is consistent after {got.literal()}")
         history += ((got, ans),)
-        entry = {"query": got.literal(), "verdict": "YES" if ans.yes else "NO"}
-        if ans.volunteered is not None:
-            entry["volunteered"] = {
-                "kind": ans.volunteered[0],
-                "line": ans.volunteered[1].literal(),
-            }
-        entries.append(entry)
+        entries.append({"query": got.literal(), "verdict": "YES" if ans.yes else "NO"})
     return Transcript(
         n=n,
         q=q,
@@ -213,15 +207,9 @@ def sweep(searcher, n: int, q: int) -> list[tuple]:
 
 
 def _narrow(geom: Geometry, cand: int, query: Subspace, ans: Answer) -> int:
-    """The candidates that stay consistent with one answer to a query,
-    including the line constraint the answer may volunteer."""
+    """The candidates that stay consistent with one answer to a query."""
     m = geom.mask(query)
-    cand = (cand & m) if ans.yes else (cand & ~m)
-    if ans.volunteered is not None:
-        vkind, vline = ans.volunteered
-        vm = geom.mask(vline)
-        cand = (cand & vm) if vkind == "in-line" else (cand & ~vm)
-    return cand
+    return (cand & m) if ans.yes else (cand & ~m)
 
 
 # ---------------------------------------------------------------------------
@@ -415,42 +403,57 @@ class FixedOracle:
         return YES if self.geom.mask(query) >> self.bit & 1 else NO
 
 
-def _completions(geom: Geometry, unc: int) -> list[Subspace]:
-    """The lines holding every point of the mask unc, in lexicographic basis
-    order: all of them when unc is empty, the pencil of a lone point, and
-    otherwise at most the line through its two lowest points, the line
-    normal to their cross product.  So a call builds at most the q+1 masks
-    of one pencil, and a game O(q) masks."""
-    if unc == 0:
-        return sorted(geom.subspaces(2), key=lambda s: s.basis)
-    if unc.bit_count() > geom.q + 1:  # more than a line holds
-        return []
-    p = geom.lowest_point(unc)
-    if unc.bit_count() == 1:
-        # a canonical point is the echelon basis of its own span
-        return list(geom.pencil(Subspace(geom.q, 3, (p,))))
-    r, F = geom.lowest_point(unc & (unc - 1)), geom.F
-    cross = [F.sub(F.mul(p[i - 2], r[i - 1]), F.mul(p[i - 1], r[i - 2])) for i in range(3)]
-    ln = hyperplane(geom.q, 3, cross)
-    return [ln] if geom.mask(ln) & unc == unc else []
+def _rank(geom: Geometry, m: int) -> int:
+    """The dimension of the span of the points of a mask, by an echelon
+    insert: each next point is the lowest one of m off the span so far,
+    found by clearing the span's mask, so a call reads at most n points and
+    reduces no matrix."""
+    F, n, rows = geom.F, geom.n, []
+    while m:
+        low = m & -m
+        v = geom.point(low.bit_length() - 1)
+        for row in rows:  # reduced echelon rows; a pivot is a row's first 1
+            c = row.index(1)
+            if v[c]:
+                v = F.axpy(F.neg(v[c]), row, v)
+        c = next(i for i, x in enumerate(v) if x)
+        v = tuple(F.axpy(F.inv(v[c]), v, [0] * n)) if v[c] != 1 else tuple(v)
+        rows = [tuple(F.axpy(F.neg(r[c]), v, r)) if r[c] else r for r in rows] + [v]
+        rows.sort(reverse=True)  # by pivot
+        if len(rows) == n:
+            break
+        m &= ~(low if len(rows) == 1 else geom.mask(Subspace(geom.q, n, tuple(rows))))
+    return len(rows)
 
 
 class AdversaryOracle:
-    """Answer-delaying adversary for the plane (n=3), a function of the
-    candidates its history leaves.
+    """Answer-delaying adversary for PG(n-1, q), a function of the
+    candidates C its history leaves: a query U gets NO when some candidate
+    lies off U and either C is collinear or the candidates off U span what C
+    spans, and YES otherwise.  Either answer leaves a candidate.
 
-    Invariant: until a line is committed to, the candidates are the plane
-    minus the lines declared not to hold the hidden point, and they lie on
-    no single line.  A line query gets NO as long as the candidates off it
-    still lie on no single line; the first line whose denial would break
-    this gets a YES, committing the hidden point to it.  A point question is
-    deflected by volunteering a line constraint instead of a bare answer.
-    Once one line holds every candidate, queries are answered YES exactly
-    when they hold them all.  Every game against it costs any searcher at
-    least 2q-1 questions."""
+    For n = 2 every query is a point, and a NO removes one of q+1 points, so
+    any searcher pays q.  For n = 3 it costs any searcher at least 2q-1
+    queries.  While C spans the plane, a NO keeps it spanning, and C is the
+    plane minus the t queries denied so far.  The first YES, to U, comes
+    when the candidates off U lie on a line L.  Take L as the line at
+    infinity.  L holds a candidate, so no denied query is L, and each denied
+    query is the zero set of an affine linear form that is nonzero on S, the
+    candidates off L, a nonempty subset of U: a denied point is replaced by
+    a line through it that misses S.  Their product has degree t and is
+    nonzero exactly on S, so by the Alon-Furedi theorem |S| >= 2q - 1 - t.
+    A point U gives |S| = 1 and t + 1 >= 2q - 1 queries.  A line U leaves
+    the candidates on U, which hold S; from then on a query holding them all
+    gets YES and changes nothing, and any other meets U in at most one
+    point, so |S| - 1 more queries follow, t + |S| >= 2q - 1 in all.
 
-    def __init__(self, q: int):
-        self.geom = geometry(3, q)
+    For n >= 4 the rule is conjectured, not proved, to force
+    (q-1)(n-1)+1 queries, the inductive searcher's count, which would make
+    that count the adaptive optimum A(n, q).  The tests check it
+    exhaustively at (4,2) and against the searchers at larger sizes."""
+
+    def __init__(self, q: int, n: int = 3):
+        self.geom = geometry(n, q)
         self.name = "adversary"
 
     def answer(self, query: Subspace, history) -> Answer:
@@ -458,21 +461,15 @@ class AdversaryOracle:
         cand = geom.full_mask
         for qry, ans in history:
             cand = _narrow(geom, cand, qry, ans)
-        m = geom.mask(query)
-        if _completions(geom, cand):  # committed: one line holds them all
-            return YES if cand & ~m == 0 else NO
-        if query.k == 2:
-            return YES if _completions(geom, cand & ~m) else NO
-        # point question: volunteer a line constraint instead
-        pencil = geom.pencil(query)
-        for ln in pencil:
-            if not _completions(geom, cand & ~geom.mask(ln)):
-                return Answer(False, ("not-in-line", ln))
-        for ln in pencil:
-            for lstar in _completions(geom, cand & ~geom.mask(ln)):
-                if not geom.mask(lstar) & m:
-                    return Answer(False, ("in-line", lstar))
-        raise InternalInconsistency("no consistent deflection for a point question")
+        return self.verdict(cand, geom.mask(query))
+
+    def verdict(self, cand: int, m: int) -> Answer:
+        """The answer to a query of mask m when the candidates are cand."""
+        off = cand & ~m
+        if not off:
+            return YES
+        r = _rank(self.geom, cand)
+        return NO if r <= 2 or _rank(self.geom, off) == r else YES
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +497,7 @@ def searcher_from_name(name: str, n: int, q: int):
 
 def oracle_from_name(name: str, n: int, q: int):
     if name == "adversary":
-        if n != 3:
-            raise WrongDimension("the adversary plays n=3 only")
-        return AdversaryOracle(q)
+        return AdversaryOracle(q, n)
     if name.startswith("fixed:"):
         try:
             coords = [int(c) for c in name.split(":", 1)[1].split(",")]

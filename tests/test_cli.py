@@ -93,6 +93,19 @@ def test_adaptive_adversary(capsys):
     assert rep["ok"] is True
 
 
+def test_adaptive_adversary_beyond_the_plane(capsys):
+    # the threshold is the descent's (q-1)(n-1)+1, which is 2q-1 at n = 3
+    code, rep = run_json(
+        capsys,
+        "adaptive", "--n", "4", "--q", "3", "--strategy", "inductive",
+        "--oracle", "adversary",
+    )
+    assert code == 0
+    assert rep["threshold"] == rep["bound"] == 7
+    assert rep["count"] >= 7
+    assert rep["ok"] is True
+
+
 def test_adaptive_save_and_replay(capsys, tmp_path):
     saved = tmp_path / "game.json"
     code, rep = run_json(
