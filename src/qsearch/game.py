@@ -25,6 +25,8 @@ from .projspace import (
     Geometry,
     Subspace,
     WrongDimension,
+    ZeroVector,
+    echelon_insert,
     geometry,
     normalize,
 )
@@ -37,7 +39,7 @@ class InconsistentOracle(RuntimeError):
 
 
 class BadAnnounce(RuntimeError):
-    """Announcement made while uncertain, or of an inconsistent point."""
+    """Announcement made while uncertain, or of an inconsistent point or no point."""
 
 
 class InternalInconsistency(RuntimeError):
@@ -125,8 +127,13 @@ def _rule(geom: Geometry, decision, cand: int, asked: int):
     `Geometry.mask`, which every asked query reaches."""
     kind, payload = decision
     if kind == "announce":
-        p = normalize(geom.q, payload)
-        if cand.bit_count() != 1 or 1 << geom.rank(p) != cand:
+        try:
+            p = normalize(geom.q, payload)
+            bit = 1 << geom.rank(p)
+        except (IndexError, KeyError, ZeroVector):
+            msg = f"announced {payload!r}, not a point of PG({geom.n - 1}, {geom.q})"
+            raise BadAnnounce(msg) from None
+        if cand.bit_count() != 1 or bit != cand:
             raise BadAnnounce(f"announced {p} with {cand.bit_count()} consistent points")
         return ("identified", p)
     qry: Subspace = payload
@@ -404,25 +411,16 @@ class FixedOracle:
 
 
 def _rank(geom: Geometry, m: int) -> int:
-    """The dimension of the span of the points of a mask, by an echelon
-    insert: each next point is the lowest one of m off the span so far,
-    found by clearing the span's mask, so a call reads at most n points and
-    reduces no matrix."""
-    F, n, rows = geom.F, geom.n, []
+    """The dimension of the span of the points of a mask, by `echelon_insert`:
+    each next point is the lowest one of m off the span so far, found by
+    clearing the span's mask, so a call reads and inserts at most n points."""
+    rows = ()
     while m:
         low = m & -m
-        v = geom.point(low.bit_length() - 1)
-        for row in rows:  # reduced echelon rows; a pivot is a row's first 1
-            c = row.index(1)
-            if v[c]:
-                v = F.axpy(F.neg(v[c]), row, v)
-        c = next(i for i, x in enumerate(v) if x)
-        v = tuple(F.axpy(F.inv(v[c]), v, [0] * n)) if v[c] != 1 else tuple(v)
-        rows = [tuple(F.axpy(F.neg(r[c]), v, r)) if r[c] else r for r in rows] + [v]
-        rows.sort(reverse=True)  # by pivot
-        if len(rows) == n:
+        rows = echelon_insert(geom.F, rows, geom.point(low.bit_length() - 1))
+        if len(rows) == geom.n:
             break
-        m &= ~(low if len(rows) == 1 else geom.mask(Subspace(geom.q, n, tuple(rows))))
+        m &= ~(low if len(rows) == 1 else geom.mask(Subspace(geom.q, geom.n, rows)))
     return len(rows)
 
 
@@ -464,12 +462,14 @@ class AdversaryOracle:
         return self.verdict(cand, geom.mask(query))
 
     def verdict(self, cand: int, m: int) -> Answer:
-        """The answer to a query of mask m when the candidates are cand."""
+        """The answer to a query of mask m when the candidates are cand; cand
+        is ranked only when those off the query do not span the space."""
         off = cand & ~m
         if not off:
             return YES
-        r = _rank(self.geom, cand)
-        return NO if r <= 2 or _rank(self.geom, off) == r else YES
+        r = _rank(self.geom, off)
+        c = r if r == self.geom.n else _rank(self.geom, cand)
+        return NO if c <= 2 or r == c else YES
 
 
 # ---------------------------------------------------------------------------

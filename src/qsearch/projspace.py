@@ -15,7 +15,9 @@ A subspace's mask is the AND of the masks of the hyperplanes that cut it
 out, and a hyperplane's mask is built per lead block of points by a base-q
 digit recursion over its coefficients: there is no loop over points.
 Every hyperplane a query asks is written down from its normal
-(`hyperplane`), so no derived subspace goes through elimination.
+(`hyperplane`), so no derived subspace goes through elimination.  Every
+row reduction (`rref`, `Subspace.contains`, the adversary's ranks) is one
+`echelon_insert` per vector.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import json
 import re
 import warnings
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 
 from .gf import GF, field
 from .record import Record, _set
@@ -110,28 +112,30 @@ def enumerate_points(n: int, q: int):
 # ---------------------------------------------------------------------------
 
 
+def echelon_insert(F: GF, rows, vec) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon rows of span(rows, vec), in pivot order, from the
+    reduced echelon rows of a span in pivot order; a pivot is a row's first
+    1.  vec is reduced against the rows, normalized, and cleared from the
+    rows above it.  When vec lies in the span, rows itself is returned."""
+    for row in rows:
+        c = row.index(1)
+        if vec[c]:
+            vec = F.axpy(F.neg(vec[c]), row, vec)
+    if not any(vec):
+        return rows
+    v = normalize(F.q, vec)
+    c = v.index(1)
+    out = [tuple(F.axpy(F.neg(r[c]), v, r)) if r[c] else r for r in rows] + [v]
+    return tuple(sorted(out, reverse=True))  # an earlier pivot sorts first
+
+
 def rref(q: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form over GF(q); zero rows are dropped."""
-    F = field(q)
-    mat = [list(r) for r in rows]
+    """Reduced row echelon form over GF(q), one `echelon_insert` per row;
+    zero rows are dropped."""
+    F, mat = field(q), [tuple(r) for r in rows]
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise DimensionMismatch("ragged matrix")
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        mat[rank] = F.axpy(F.inv(mat[rank][col]), mat[rank], [0] * ncols)
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                mat[r] = F.axpy(F.neg(mat[r][col]), mat[rank], mat[r])
-        rank += 1
-        if rank == nrows:
-            break
-    return tuple(tuple(r) for r in mat[:rank])
+    return reduce(partial(echelon_insert, F), mat, ())
 
 
 class Subspace(Record):
@@ -171,15 +175,11 @@ class Subspace(Record):
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def contains(self, vec) -> bool:
-        """Membership test by reducing vec against the echelon basis."""
-        F = field(self.q)
-        v = list(vec)
+        """Membership: inserting vec leaves the echelon basis as it is."""
+        v = tuple(vec)
         if len(v) != self.n:
             raise DimensionMismatch(f"vector {vec!r} not of length {self.n}")
-        for row, pc in zip(self.basis, self.pivots()):
-            if v[pc]:
-                v = F.axpy(F.neg(v[pc]), row, v)
-        return not any(v)
+        return echelon_insert(field(self.q), self.basis, v) is self.basis
 
     def __eq__(self, other):
         # mask-cache lookups compare equal subspaces built apart, and the

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 from functools import lru_cache
 from math import comb
 
@@ -39,7 +41,7 @@ from qsearch.game import (
 )
 from qsearch.separating import coordinate_hyperplane, ratio_hyperplane
 
-from pencil_reference import basis_extension, pencil_within
+from pencil_reference import basis_extension, column_sweep_rref, pencil_within
 
 
 def sweep_max(searcher_name: str, n: int, q: int) -> int:
@@ -383,6 +385,38 @@ def test_a_rank_reads_at_most_n_points(n, q, monkeypatch):
         # the points read are independent and span every point of the mask
         span = Subspace.span(q, n, [point(i) for i in reads])
         assert span.k == r and geom.mask(span) & m == m
+
+
+@pytest.mark.parametrize("n,q", ((3, 4), (4, 3), (5, 2), (3, 9)))
+def test_a_rank_matches_the_reference_rank_of_its_points(n, q):
+    # dense random masks span the space; sparse ones and hyperplanes with a
+    # few points taken out have every lower rank
+    geom = geometry(n, q)
+    rng = random.Random(f"rank-ref:{n}:{q}")
+    bits = geom.full_mask.bit_length()
+    masks = [rng.getrandbits(bits) for _ in range(10)]
+    masks += [sum(1 << i for i in rng.sample(range(bits), rng.randint(1, n))) for _ in range(30)]
+    for i in range(n):
+        h = geom.mask(coordinate_hyperplane(q, n, i))
+        masks += [h, h & ~(1 << rng.randrange(bits)) & ~(1 << rng.randrange(bits))]
+    ranks = set()
+    for m in masks:
+        r = len(column_sweep_rref(q, [geom.point(i) for i in range(bits) if m >> i & 1]))
+        assert _rank(geom, m) == r, m
+        ranks.add(r)
+    assert ranks == set(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n,q", ((3, 5), (4, 3)))
+def test_a_spanning_answer_ranks_only_the_candidates_off_the_query(n, q, monkeypatch):
+    # the candidates off a hyperplane span the space, so those of the whole
+    # space do too, and need no rank of their own
+    o = AdversaryOracle(q, n)
+    calls = []
+    monkeypatch.setattr(game, "_rank", lambda geom, m: calls.append(m) or _rank(geom, m))
+    full = o.geom.full_mask
+    assert o.verdict(full, o.geom.mask(coordinate_hyperplane(q, n, 0))) is NO
+    assert len(calls) == 1
 
 
 def _forced_length(n, q):
@@ -824,6 +858,59 @@ def test_bad_announce_guard():
 
     with pytest.raises(BadAnnounce):
         run_game(Eager(), FixedOracle(3, (1, 0, 0)), 3, 3)
+
+
+class Announcer:
+    """Announces a fixed payload at once."""
+
+    name = "announcer"
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def decide(self, view):
+        return ("announce", self.payload)
+
+
+@pytest.mark.parametrize(
+    "q,payload", [(3, (1, 1)), (3, (1, 1, 1, 1)), (2, (0, 0, 2)), (3, (0, 0, 0))]
+)
+def test_the_referee_names_an_announcement_of_no_point(q, payload):
+    # a wrong length, an entry outside the field and the zero vector each
+    # end in BadAnnounce naming the payload, in a game and in a sweep
+    named = re.escape(f"announced {payload!r}, not a point of PG(2, {q})")
+    with pytest.raises(BadAnnounce, match=named):
+        run_game(Announcer(payload), FixedOracle(q, (1, 0, 0)), 3, q)
+    with pytest.raises(BadAnnounce, match=named):
+        sweep(Announcer(payload), 3, q)
+
+
+ROSTER_N3 = ("plane", "inductive", "two-round") + tuple(f"random-lines:{s}" for s in range(100))
+ROSTER_HIGHER = ("inductive", "two-round") + tuple(f"random-lines:{s}" for s in range(20))
+
+
+@pytest.mark.parametrize(
+    "cases,digest",
+    [
+        (
+            [(3, q, ROSTER_N3) for q in (2, 3, 4, 5, 7, 8, 9)],
+            "7b23ade370310c624fe3d5799a7b74ec3416b51ceb6f567a98a9d078aec2716c",
+        ),
+        (
+            [(n, q, ROSTER_HIGHER) for n, q in ((4, 2), (4, 3), (4, 5), (5, 3), (6, 2))],
+            "04be8fbc50fd435618f7bb201e876d7046ffb616874ea0d2295ed3d090290c02",
+        ),
+    ],
+    ids=["n3-roster", "higher-n-roster"],
+)
+def test_adversary_transcripts_are_frozen(cases, digest):
+    # the sha256 of every transcript's JSON, one line each, in roster order
+    h = hashlib.sha256()
+    for n, q, names in cases:
+        for name in names:
+            t = run_game(searcher_from_name(name, n, q), AdversaryOracle(q, n), n, q)
+            h.update((t.to_json() + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 def test_inconsistent_oracle_guard():

@@ -14,6 +14,7 @@ from qsearch.projspace import (
     Subspace,
     WrongDimension,
     ZeroVector,
+    echelon_insert,
     enumerate_points,
     enumerate_subspaces,
     gaussian_binomial,
@@ -24,7 +25,7 @@ from qsearch.projspace import (
 )
 from qsearch.separating import explicit_construction
 
-from pencil_reference import pencil_within
+from pencil_reference import column_sweep_rref, pencil_within
 
 
 def test_gaussian_binomial_frozen():
@@ -129,6 +130,70 @@ def test_contains():
     assert not s.contains((0, 0, 1))
     with pytest.raises(DimensionMismatch):
         s.contains((1, 0))
+
+
+DIFF_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _random_matrices(q):
+    """Seeded random matrices over GF(q): full ones, low-rank ones whose rows
+    combine a few random rows, and each of those with a zero row added, a
+    row repeated, or more rows than columns."""
+    F, rng = field(q), random.Random(f"rref:{q}")
+    out = []
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        base = [[rng.randrange(q) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        low = [
+            F.axpy(rng.randrange(q), rng.choice(base), rng.choice(base))
+            for _ in range(rng.randint(1, 5))
+        ]
+        for rows in (base, low):
+            out.append(rows)
+            out.append(rows + [[0] * ncols])
+            out.append(rows[:1] + rows + rows[:1])
+            out.append([[rng.randrange(q) for _ in range(ncols)] for _ in range(ncols + 2)])
+    return out
+
+
+@pytest.mark.parametrize("q", DIFF_ORDERS)
+def test_rref_matches_the_column_sweep(q):
+    mats = _random_matrices(q)
+    assert any(len(rows) > len(rows[0]) for rows in mats)
+    for rows in mats:
+        assert rref(q, rows) == column_sweep_rref(q, rows), rows
+    assert rref(q, []) == column_sweep_rref(q, []) == ()
+
+
+def _probe_vectors(F, rng, rows):
+    """The zero vector, each row, a random combination of two rows and a
+    few random vectors, all as long as the rows."""
+    q, ncols = F.q, len(rows[0])
+    vecs = [[0] * ncols] + [list(r) for r in rows]
+    vecs.append(F.axpy(rng.randrange(q), rng.choice(rows), rng.choice(rows)))
+    vecs += [[rng.randrange(q) for _ in range(ncols)] for _ in range(4)]
+    return vecs
+
+
+@pytest.mark.parametrize("q", DIFF_ORDERS)
+def test_contains_agrees_with_the_reference_rank(q):
+    F, rng = field(q), random.Random(f"contains:{q}")
+    for rows in _random_matrices(q):
+        s = Subspace.span(q, len(rows[0]), rows)
+        k = len(column_sweep_rref(q, rows))
+        for v in _probe_vectors(F, rng, rows):
+            assert s.contains(v) == (len(column_sweep_rref(q, rows + [v])) == k), (rows, v)
+
+
+@pytest.mark.parametrize("q", DIFF_ORDERS)
+def test_echelon_insert_keeps_rows_for_a_vector_of_their_span(q):
+    F, rng = field(q), random.Random(f"insert:{q}")
+    for rows in _random_matrices(q):
+        basis = column_sweep_rref(q, rows)
+        for v in _probe_vectors(F, rng, rows):
+            got = echelon_insert(F, basis, v)
+            assert got == column_sweep_rref(q, rows + [v]), (rows, v)
+            assert (got is basis) == (len(got) == len(basis)), (rows, v)
 
 
 @given(
