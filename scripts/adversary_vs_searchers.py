@@ -7,7 +7,6 @@ exit code is nonzero if any run comes in under that or fails to finish."""
 
 import argparse
 import os
-import statistics
 import sys
 
 from qsearch.game import AdversaryOracle, run_game, searcher_from_name
@@ -38,7 +37,7 @@ def play(orders, names) -> int:
             f"inductive={counts.get('inductive')} "
             f"two-round={counts.get('two-round')} "
             f"random-lines min={min(rand)} max={max(rand)} "
-            f"mean={statistics.mean(rand):.2f} over {len(rand)} seeds"
+            f"mean={sum(rand) / len(rand):.2f} over {len(rand)} seeds"
         )
     return bad
 

@@ -357,20 +357,22 @@ class TwoRoundSearcher:
         self.n = n
         self.q = q
         self.name = "two-round"
+        hs = (coordinate_hyperplane(q, n, i) for i in range(n))
+        self.coords = tuple((h, geometry(n, q).mask(h)) for h in hs)
 
     def decide(self, view: GameView):
-        n, q, asked = self.n, self.q, view.asked
+        n, q, asked, cand = self.n, self.q, view.asked, view.candidates
         if asked < n:
-            return ("ask", coordinate_hyperplane(q, n, asked))
-        # the first batch leaves the candidates of a single zero pattern
-        low = view.geom.lowest_point(view.candidates)
-        nz = [i for i in range(n) if low[i]]
+            return ("ask", self.coords[asked][0])
+        # the first batch leaves the candidates of a single zero pattern:
+        # coordinate i is nonzero when v_i = 0 holds no candidate
+        nz = [i for i, (_, m) in enumerate(self.coords) if not cand & m]
         if q > 2 and len(nz) > 1:
             # the script asks v_j = lam * v_c for each later j, lam = 1..q-2
             pos, lam = divmod(asked - n, q - 2)
             if pos < len(nz) - 1:
                 return ("ask", ratio_hyperplane(q, n, nz[0], nz[1 + pos], lam + 1))
-        return ("announce", low)
+        return ("announce", view.geom.lowest_point(cand))
 
 
 class RandomLineSearcher:

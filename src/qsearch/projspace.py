@@ -16,8 +16,8 @@ out, and a hyperplane's mask is built per lead block of points by a base-q
 digit recursion over its coefficients: there is no loop over points.
 Every hyperplane a query asks is written down from its normal
 (`hyperplane`), so no derived subspace goes through elimination.  Every
-row reduction (`rref`, `Subspace.contains`, the adversary's ranks) is one
-`echelon_insert` per vector.
+row reduction (`rref`, the adversary's ranks) is one `echelon_insert` per
+vector; `Subspace.contains` runs only its reduce step.
 """
 
 from __future__ import annotations
@@ -112,15 +112,22 @@ def enumerate_points(n: int, q: int):
 # ---------------------------------------------------------------------------
 
 
-def echelon_insert(F: GF, rows, vec) -> tuple[tuple[int, ...], ...]:
-    """The reduced echelon rows of span(rows, vec), in pivot order, from the
-    reduced echelon rows of a span in pivot order; a pivot is a row's first
-    1.  vec is reduced against the rows, normalized, and cleared from the
-    rows above it.  When vec lies in the span, rows itself is returned."""
+def _reduce(F: GF, rows, vec):
+    """vec with every pivot of the reduced echelon rows cleared; zero
+    exactly when vec lies in their span.  A pivot is a row's first 1."""
     for row in rows:
         c = row.index(1)
         if vec[c]:
             vec = F.axpy(F.neg(vec[c]), row, vec)
+    return vec
+
+
+def echelon_insert(F: GF, rows, vec) -> tuple[tuple[int, ...], ...]:
+    """The reduced echelon rows of span(rows, vec), in pivot order, from the
+    reduced echelon rows of a span in pivot order.  vec is reduced against
+    the rows, normalized, and cleared from the rows above it.  When vec lies
+    in the span, rows itself is returned."""
+    vec = _reduce(F, rows, vec)
     if not any(vec):
         return rows
     v = normalize(F.q, vec)
@@ -175,11 +182,11 @@ class Subspace(Record):
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def contains(self, vec) -> bool:
-        """Membership: inserting vec leaves the echelon basis as it is."""
+        """Membership: vec reduces to zero against the echelon basis."""
         v = tuple(vec)
         if len(v) != self.n:
             raise DimensionMismatch(f"vector {vec!r} not of length {self.n}")
-        return echelon_insert(field(self.q), self.basis, v) is self.basis
+        return not any(_reduce(field(self.q), self.basis, v))
 
     def __eq__(self, other):
         # mask-cache lookups compare equal subspaces built apart, and the

@@ -7,10 +7,12 @@ such systems (deterministic and randomized), verifies and reduces them,
 rewrites point queries into hyperplane queries in dimension 3, and finds
 exact minima by exhaustive search on small instances.
 
-Every separation question reads one table, `signatures`: each point's
-answer vector as an int whose bit j answers query j.  The pencil count
-behind `oracle claim-count` reads one such table per pencil, transposed
-so that each point's pencil signatures sit in one tuple.
+Every separation question reads one table, `_rows`: each point's answer
+vector as a row of bytes whose bit j answers query j, with a one-byte key
+per row.  The verdict holds one key's rows at a time; `signatures` reads
+the rows as ints.  The pencil count behind `oracle claim-count` reads one
+such table per pencil, transposed so each point's pencil signatures sit
+in one tuple.
 """
 
 from __future__ import annotations
@@ -92,54 +94,63 @@ class QuerySet(Record):
         return QuerySet(q, n, queries)
 
 
-_BYTE_BITS = bytes.maketrans(b"01", b"\x00\x01")
+# _LANE_BITS[b] maps a mask's '0'/'1' digits to bit b of a lane byte
+_LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
+
+
+def _rows(qs: QuerySet) -> tuple[bytes, int, int]:
+    """The answer-vector table: one W-byte row per point, in
+    geometry(n, q).points order, whose byte L holds queries 8L to 8L + 7.
+    Each mask's digits become bit b of one byte per point, eight masks
+    are ORed into a lane, and a strided slice writes the lane to every
+    row.  The key is the XOR of the lanes: byte i of
+    key.to_bytes(P, "little") is the XOR of point i's row."""
+    geom = geometry(qs.n, qs.q)
+    P, queries = geom.full_mask.bit_length(), qs.queries
+    W = max(1, -(-len(queries) // 8))  # bytes per row
+    buf = bytearray(P * W)
+    key = 0
+    for L in range(W):
+        lane = 0
+        for b, s in enumerate(queries[8 * L : 8 * L + 8]):
+            bits = format(geom.mask(s), f"0{P}b").encode().translate(_LANE_BITS[b])
+            lane |= int.from_bytes(bits, "big")  # byte i holds point i's bit b
+        key ^= lane
+        buf[L::W] = lane.to_bytes(P, "little")
+    return bytes(buf), W, key  # slices of bytes are cheaper rows
 
 
 def signatures(qs: QuerySet) -> list[int]:
     """Answer vector of every point, in geometry(n, q).points order: bit j
-    is set when the point lies in query j.
-
-    The table is transposed in byte lanes: byte L of every signature holds
-    queries 8L to 8L + 7.  Each mask becomes one 0/1 byte per point, eight
-    of them are shifted into one lane, and the lane is written to every
-    signature's byte L by one strided slice assignment."""
-    geom = geometry(qs.n, qs.q)
-    P, queries = geom.full_mask.bit_length(), qs.queries
-    W = max(1, -(-len(queries) // 8))  # bytes per signature
-    buf = bytearray(P * W)
-    for L in range(W):
-        lane = 0
-        for b, s in enumerate(queries[8 * L : 8 * L + 8]):
-            bits = format(geom.mask(s), f"0{P}b").encode().translate(_BYTE_BITS)
-            lane |= int.from_bytes(bits, "big") << b  # byte i is point i's bit
-        buf[L::W] = lane.to_bytes(P, "little")
-    data = bytes(buf)  # slices of bytes are cheaper rows than of a bytearray
-    del buf
+    is set when the point lies in query j.  `_rows` read as ints."""
+    data, W, _ = _rows(qs)
     from_bytes = int.from_bytes
-    return [from_bytes(data[i : i + W], "little") for i in range(0, P * W, W)]
+    return [from_bytes(data[i : i + W], "little") for i in range(0, len(data), W)]
 
 
 def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """None when separating, else the lexicographically first colliding pair:
     the two lowest points of the colliding class whose lowest comes first.
 
-    The verdict needs only the set of distinct signatures.  On a collision,
-    a second pass over that set marks the signatures met twice; the first
-    point holding one of them and the next point with its signature are
-    the pair, named by `Geometry.point` without listing the geometry."""
-    sigs = signatures(qs)
-    unseen = set(sigs)
-    if len(unseen) == len(sigs):
+    Equal rows have equal keys, so only one key's rows are held at a time:
+    its points are walked in index order with a dict from row to first
+    point, and the repeat whose first point is lowest wins.  The pair is
+    named by `Geometry.point` without listing the geometry."""
+    data, W, key = _rows(qs)
+    keys = key.to_bytes(len(data) // W, "little")
+    pair = None
+    for k in set(keys):
+        first = {}
+        i = keys.find(k)
+        while i >= 0:
+            f = first.setdefault(data[i * W : i * W + W], i)
+            if f != i and (pair is None or f < pair[0]):
+                pair = (f, i)
+            i = keys.find(k, i + 1)
+    if pair is None:
         return None
-    shared = set()
-    for s in sigs:
-        if s in unseen:
-            unseen.remove(s)
-        else:
-            shared.add(s)
-    f = next(i for i, s in enumerate(sigs) if s in shared)
     geom = geometry(qs.n, qs.q)
-    return geom.point(f), geom.point(sigs.index(sigs[f], f + 1))
+    return geom.point(pair[0]), geom.point(pair[1])
 
 
 def is_separating(qs: QuerySet) -> bool:

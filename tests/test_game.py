@@ -237,6 +237,20 @@ def _two_round_by_history(n, q, geom, history, cand):
     return ("announce", geom.lowest_point(cand))
 
 
+def _two_round_by_lowest_point(n, q, geom, asked, cand):
+    """TwoRoundSearcher.decide as it read the zero pattern off the lowest
+    candidate at every node: the test oracle for its coordinate masks."""
+    if asked < n:
+        return ("ask", coordinate_hyperplane(q, n, asked))
+    low = geom.lowest_point(cand)
+    nz = [i for i in range(n) if low[i]]
+    if q > 2 and len(nz) > 1:
+        pos, lam = divmod(asked - n, q - 2)
+        if pos < len(nz) - 1:
+            return ("ask", ratio_hyperplane(q, n, nz[0], nz[1 + pos], lam + 1))
+    return ("announce", low)
+
+
 BY_HISTORY = {
     "plane": _plane_by_history,
     "inductive": _inductive_by_history,
@@ -274,6 +288,22 @@ def test_searchers_decide_as_the_history_readers_on_every_node(name, n, q):
     points = len(geometry(n, q).points)
     # each point's game ends in its own announcement, a node of its own
     assert _walk_both(name, n, q, lambda query, history: (NO, YES)) >= points
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for name, n, q in SWEEP_CASES if name == "two-round"])
+def test_two_round_sweep_decides_as_the_lowest_point_reader(n, q):
+    geom, searcher, nodes = geometry(n, q), TwoRoundSearcher(n, q), []
+    decide = searcher.decide
+
+    def spy(view):
+        nodes.append((view.asked, view.candidates, decide(view)))
+        return nodes[-1][2]
+
+    searcher.decide = spy
+    games = sweep(searcher, n, q)
+    assert len(nodes) > len(games)  # every game ends in a node of its own
+    for asked, cand, got in nodes:
+        assert got == _two_round_by_lowest_point(n, q, geom, asked, cand), (asked, cand)
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))

@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -9,6 +12,7 @@ from qsearch.gf import field
 from qsearch.projspace import DimensionMismatch, Subspace, WrongDimension, geometry
 from qsearch.separating import (
     Exhausted,
+    _rows,
     NotSeparating,
     QuerySet,
     RetriesExhausted,
@@ -484,3 +488,39 @@ def test_table_matches_refinement_oracle(n, q):
             with pytest.raises(NotSeparating):
                 minimal_subsystem(qs)
     assert separating >= 30 and broken >= 1
+
+
+def test_empty_system_puts_every_point_under_one_key():
+    qs = QuerySet(3, 4, ())
+    data, W, key = _rows(qs)
+    assert (data, W, key) == (bytes(40), 1, 0)  # 40 points, no query
+    assert separating_witness(qs) == dict_witness(qs) == refinement_witness(qs)
+
+
+@pytest.mark.parametrize("n,q,lanes", [(5, 5, 5), (4, 9, 6)])
+def test_bucketed_witness_matches_both_references_one_query_short(n, q, lanes):
+    explicit = explicit_construction(n, q).queries
+    for i in range(len(explicit)):
+        qs = QuerySet(q, n, explicit[:i] + explicit[i + 1 :])
+        data, W, key = _rows(qs)
+        assert W == lanes
+        # byte i of the key is the XOR of row i, so equal rows share a key
+        rows = [data[j : j + W] for j in range(0, len(data), W)]
+        assert key.to_bytes(len(rows), "little") == bytes(reduce(xor, r) for r in rows)
+        wit = separating_witness(qs)
+        assert wit is not None
+        assert wit == dict_witness(qs) == refinement_witness(qs)
+
+
+def test_the_verdict_holds_one_key_of_rows_at_a_time():
+    # 19,608 points: a set of every signature peaks near 1.5 MB, one key's
+    # rows at a time near 0.5 MB; the masks are built before tracing
+    qs = explicit_construction(6, 7)
+    assert is_separating(qs)
+    tracemalloc.start()
+    try:
+        assert separating_witness(qs) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75e6
