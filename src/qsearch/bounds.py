@@ -44,7 +44,10 @@ def adaptive_bounds(n: int, q: int) -> tuple[float, int]:
 
     Lower: log2 of the number of points (each answer is one bit); for q=2
     this is rounded up to exactly n, where the bracket closes.  Upper: the
-    pencil-descent strategy's (q-1)(n-1)+1.
+    pencil-descent strategy's (q-1)(n-1)+1.  That upper end is the exact
+    optimum A(n, q) at every n and q, by Jamison's covering theorem (JCTA
+    22, 1977) and its dual by Brouwer and Schrijver (JCTA 24, 1978); the
+    `AdversaryOracle` docstring gives the proof.
     """
     npoints = gaussian_binomial(n, 1, q)
     if q == 2:

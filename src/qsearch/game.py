@@ -447,10 +447,21 @@ class AdversaryOracle:
     gets YES and changes nothing, and any other meets U in at most one
     point, so |S| - 1 more queries follow, t + |S| >= 2q - 1 in all.
 
-    For n >= 4 the rule is conjectured, not proved, to force
-    (q-1)(n-1)+1 queries, the inductive searcher's count, which would make
-    that count the adaptive optimum A(n, q).  The tests check it
-    exhaustively at (4,2) and against the searchers at larger sizes."""
+    Whether this rule forces (q-1)(n-1)+1 queries at n >= 4 is checked, not
+    proved: exhaustively at (4,2), against the searchers at larger sizes.
+    That count, the inductive searcher's, is the adaptive optimum A(n, q)
+    at every n and q all the same, by a plainer adversary that says YES
+    exactly when the query holds every candidate (R. E. Jamison, "Covering
+    finite fields with cosets of subspaces", JCTA 22, 1977; dually A. E.
+    Brouwer and A. Schrijver, "The blocking number of an affine space",
+    JCTA 24, 1978).  A YES removes nothing, so when P is announced every
+    other point lies in one of the t denied queries, and each of those lies
+    in a hyperplane that misses P.  Take one of these hyperplanes as the one
+    at infinity; the other t - 1 cover AG(n-1, q) minus P, each the zero set
+    of an affine form that is nonzero at P.  The product of the forms
+    vanishes everywhere but P, so as a function it is
+    c * prod_j (1 - (x_j - p_j)^(q-1)), whose reduced degree is (n-1)(q-1).
+    Reducing x^q to x never raises degree, so t - 1 >= (n-1)(q-1)."""
 
     def __init__(self, q: int, n: int = 3):
         self.geom = geometry(n, q)

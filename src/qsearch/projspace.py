@@ -324,7 +324,6 @@ class Geometry:
         self.F: GF = field(q)
         self.full_mask: int = (1 << gaussian_binomial(n, 1, q)) - 1
         self._mask_cache: dict[Subspace, int] = {}
-        self._pencil_cache: dict[Subspace, list[Subspace]] = {}
         self._subspace_cache: dict[int, list[Subspace]] = {}
 
     @cached_property
@@ -427,15 +426,11 @@ class Geometry:
         """The q+1 hyperplanes containing a subspace u of dimension n-2,
         sorted by basis tuple.  With a, b the two `normals` of u, they are
         the hyperplanes of a and of t*a + b for t in GF(q)."""
-        got = self._pencil_cache.get(u)
-        if got is None:
-            if u.k != self.n - 2:
-                raise WrongDimension(f"need dimension {self.n - 2}, got {u.k}")
-            a, b = normals(u)
-            tops = [a] + [self.F.axpy(t, a, b) for t in range(self.q)]
-            got = sorted((hyperplane(self.q, self.n, v) for v in tops), key=lambda h: h.basis)
-            self._pencil_cache[u] = got
-        return got
+        if u.k != self.n - 2:
+            raise WrongDimension(f"need dimension {self.n - 2}, got {u.k}")
+        a, b = normals(u)
+        tops = [a] + [self.F.axpy(t, a, b) for t in range(self.q)]
+        return sorted((hyperplane(self.q, self.n, v) for v in tops), key=lambda h: h.basis)
 
     def subspaces(self, k: int) -> list[Subspace]:
         got = self._subspace_cache.get(k)

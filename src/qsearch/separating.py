@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from .gf import field
@@ -28,6 +29,7 @@ from .projspace import (
     Subspace,
     TooLarge,
     WrongDimension,
+    enumerate_subspaces,
     gaussian_binomial,
     geometry,
     hyperplane,
@@ -135,8 +137,9 @@ def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] 
     Equal rows have equal keys, so only one key's rows are held at a time:
     its points are walked in index order with a dict from row to first
     point, and the repeat whose first point is lowest wins.  The pair is
-    named by `Geometry.point` without listing the geometry."""
-    data, W, key = _rows(qs)
+    named by `Geometry.point` without listing the geometry.  Collisions
+    depend only on the set of queries: each distinct query is tabled once."""
+    data, W, key = _rows(QuerySet(qs.q, qs.n, tuple(dict.fromkeys(qs.queries))))
     keys = key.to_bytes(len(data) // W, "little")
     pair = None
     for k in set(keys):
@@ -147,10 +150,7 @@ def separating_witness(qs: QuerySet) -> tuple[tuple[int, ...], tuple[int, ...]] 
             if f != i and (pair is None or f < pair[0]):
                 pair = (f, i)
             i = keys.find(k, i + 1)
-    if pair is None:
-        return None
-    geom = geometry(qs.n, qs.q)
-    return geom.point(pair[0]), geom.point(pair[1])
+    return None if pair is None else tuple(map(geometry(qs.n, qs.q).point, pair))
 
 
 def is_separating(qs: QuerySet) -> bool:
@@ -280,7 +280,8 @@ def minimal_subsystem(qs: QuerySet) -> QuerySet:
     """
     sigs = signatures(qs)
     if len(set(sigs)) < len(sigs):
-        raise NotSeparating("cannot reduce a non-separating system")
+        u, v = separating_witness(qs)
+        raise NotSeparating(f"cannot reduce a non-separating system: {u} and {v} collide")
     kept = (1 << len(qs)) - 1
     for i in range(len(qs) - 1, -1, -1):
         trial = kept & ~(1 << i)
@@ -299,30 +300,33 @@ def points_to_lines(qs: QuerySet) -> QuerySet:
     match P everywhere else, so they would collide with each other.  A line
     through P avoiding Q restores separation.
     Such a line is never already present: any line of the system through P
-    would give Q a matching yes.
+    would give Q a matching yes.  One signature table serves every rewrite:
+    Q's row is P's without the bit of P's query, which the line's points then take.
     """
     if qs.n != 3:
         raise WrongDimension(f"point-to-line rewriting needs n=3, got n={qs.n}")
     qs = minimal_subsystem(qs)
     geom = geometry(3, qs.q)
     queries = list(qs.queries)
-    while True:
-        idx = next((i for i, s in enumerate(queries) if s.k == 1), None)
-        if idx is None:
-            break
-        p = queries[idx].basis[0]
-        sigs = signatures(QuerySet(qs.q, 3, tuple(queries[:idx] + queries[idx + 1 :])))
-        mine = sigs[geom.rank(p)]
-        partners = [x for x, s in zip(geom.points, sigs) if x != p and s == mine]
-        pencil = geom.pencil(queries[idx])
-        if partners:
-            choice = next(ln for ln in pencil if not ln.contains(partners[0]))
+    sigs = signatures(qs)
+    for idx, s in enumerate(qs.queries):
+        if s.k != 1:
+            continue
+        i, bit = geom.rank(s.basis[0]), 1 << idx
+        try:
+            j = sigs.index(sigs[i] & ~bit)
+        except ValueError:  # the other queries already separate P
+            lines = chain(geom.pencil(s), enumerate_subspaces(3, qs.q, 2))
+            choice = next(ln for ln in lines if ln not in queries)
         else:
-            present = set(queries)
-            choice = next((ln for ln in pencil if ln not in present), None)
-            if choice is None:
-                choice = next(ln for ln in geom.subspaces(2) if ln not in present)
+            partner = geom.point(j)
+            choice = next(ln for ln in geom.pencil(s) if not ln.contains(partner))
         queries[idx] = choice
+        sigs[i] &= ~bit
+        m = geom.mask(choice)
+        while m:
+            sigs[(m & -m).bit_length() - 1] |= bit
+            m &= m - 1
     out = QuerySet(qs.q, 3, tuple(queries))
     if not is_separating(out):
         raise AssertionError("rewriting broke separation")  # unreachable

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -14,6 +15,7 @@ from qsearch.projspace import (
     Subspace,
     WrongDimension,
     geometry,
+    hyperplane,
 )
 from qsearch.game import (
     NO,
@@ -480,6 +482,70 @@ def test_the_adversary_forces_the_descent_count_against_every_searcher(n, q, mon
     # masks, so they are memoized for the search
     monkeypatch.setattr(game, "_rank", lru_cache(maxsize=None)(_rank))
     assert _forced_length(n, q) == (q - 1) * (n - 1) + 1
+
+
+class AlwaysNo:
+    """The adversary of the proof that A(n, q) = (q-1)(n-1)+1: YES exactly
+    when the query holds every candidate, so a YES removes nothing and a NO
+    never empties the candidates."""
+
+    name = "always-no"
+
+    def __init__(self, q, n):
+        self.geom = geometry(n, q)
+
+    def answer(self, query, history):
+        geom, cand = self.geom, self.geom.full_mask
+        for qry, ans in history:
+            cand = _narrow(geom, cand, qry, ans)
+        return YES if not cand & ~geom.mask(query) else NO
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    ((3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (6, 2)),
+)
+def test_the_always_no_oracle_forces_the_descent_count(n, q):
+    descent = (q - 1) * (n - 1) + 1
+    names = ["inductive", "two-round", *(f"random-lines:{seed}" for seed in range(10))]
+    searchers = [searcher_from_name(name, n, q) for name in names + ["plane"] * (n == 3)]
+    searchers += [RandomProber(f"{q}:{seed}") for seed in range(5)]
+    for searcher in searchers:
+        t = run_game(searcher, AlwaysNo(q, n), n, q)
+        assert t.identified is not None and t.count >= descent, (t.searcher, t.count)
+        assert t.searcher != "inductive" or t.count == descent
+
+
+def _fewest_hyperplanes_covering_all_but_one_point(n, q):
+    """The fewest hyperplanes that miss P = (1, 0, ..., 0) and cover every
+    other point: the denied queries of an always-NO game, each widened to a
+    hyperplane that misses the announced point.  The stabilizer of P is
+    transitive on the hyperplanes that miss it, so the first is x_0 = 0;
+    then a DFS branches on the hyperplanes through the lowest uncovered
+    point, one of which every cover holds."""
+    geom = geometry(n, q)
+    normals = itertools.product(range(q), repeat=n - 1)
+    misses = [geom.mask(hyperplane(q, n, (1, *a))) for a in normals]
+    left = geom.full_mask & ~misses[0] & ~(1 << geom.rank((1,) + (0,) * (n - 1)))
+
+    def covers(left, budget):
+        if not left:
+            return True
+        low = left & -left
+        return budget > 0 and any(covers(left & ~m, budget - 1) for m in misses if m & low)
+
+    size = 1
+    while not covers(left, size - 1):
+        size += 1
+    return size
+
+
+@pytest.mark.parametrize(
+    "n,q", ((3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (6, 2))
+)
+def test_the_fewest_hyperplanes_covering_all_but_one_point_are_the_descent_count(n, q):
+    # Jamison's covering theorem at these sizes, checked exhaustively
+    assert _fewest_hyperplanes_covering_all_but_one_point(n, q) == (q - 1) * (n - 1) + 1
 
 
 def test_claim_count_makes_no_rref_call(capsys, monkeypatch):

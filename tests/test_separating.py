@@ -1,6 +1,8 @@
+import hashlib
+import json
 import random
 import tracemalloc
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 
 import pytest
@@ -220,13 +222,20 @@ def test_count_unseparated_rejects_equal_points():
         count_unseparated_bruteforce(3, 3, (0, 0, 1), (0, 0, 2))
 
 
+@lru_cache(maxsize=None)
+def _pencil_masks(n, q, s):
+    geom = geometry(n, q)
+    return tuple(geom.mask(h) for h in geom.pencil(s))
+
+
 def _unseparated_by_masks(n, q, u, v):
     """Reference count that does not use `signatures`: compare the two point
-    masks against every member of every pencil."""
+    masks against every member of every pencil.  Every pair reads every
+    pencil, so the pencils' masks are memoized here."""
     geom = geometry(n, q)
     mu, mv = 1 << geom.rank(u), 1 << geom.rank(v)
     return sum(
-        all(bool(geom.mask(h) & mu) == bool(geom.mask(h) & mv) for h in geom.pencil(s))
+        all(bool(m & mu) == bool(m & mv) for m in _pencil_masks(n, q, s))
         for s in geom.subspaces(n - 2)
     )
 
@@ -261,6 +270,11 @@ def test_minimal_subsystem_rejects_non_separating():
         minimal_subsystem(QuerySet(2, 3, FANO_TRIANGLE[:1]))
 
 
+def test_a_failing_reduction_names_its_colliding_pair():
+    with pytest.raises(NotSeparating, match=r"\(0, 0, 1\) and \(0, 1, 1\) collide$"):
+        minimal_subsystem(QuerySet(2, 3, FANO_TRIANGLE[:1]))
+
+
 def test_points_to_lines_mixed(mixed_system_factory):
     mixed = mixed_system_factory(3, 0)
     assert any(s.k == 1 for s in mixed.queries)
@@ -286,6 +300,32 @@ def test_a_point_query_of_a_minimal_system_has_at_most_one_partner(
             sigs = signatures(rest)
             mine = sigs[geom.rank(s.basis[0])]
             assert sigs.count(mine) <= 2, (seed, s)
+
+
+def test_points_to_lines_outputs_are_frozen(mixed_system_factory):
+    # 240 minimal mixed systems, rewritten as they were when every point
+    # query rebuilt the signature table
+    outs = [
+        [s.literal() for s in points_to_lines(mixed_system_factory(q, seed)).queries]
+        for q in (2, 3, 4, 5)
+        for seed in range(60)
+    ]
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest[:16] == "71530ac4a1616dfd"
+
+
+def test_points_to_lines_tables_the_reduced_system_once(mixed_system_factory, monkeypatch):
+    qs = next(
+        qs
+        for qs in map(mixed_system_factory, [5] * 60, range(60))
+        if sum(s.k == 1 for s in qs.queries) >= 3
+    )
+    calls, real = [], separating.signatures
+    monkeypatch.setattr(separating, "signatures", lambda t: calls.append(t) or real(t))
+    out = points_to_lines(qs)
+    assert all(s.k == 2 for s in out.queries)
+    # one table for the reduction and one for every rewrite: qs is minimal
+    assert calls == [qs, qs]
 
 
 def test_points_to_lines_needs_plane():
@@ -524,3 +564,19 @@ def test_the_verdict_holds_one_key_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 0.75e6
+
+
+def test_a_repeated_query_is_tabled_once():
+    # 993 points: 4,000 copies of one line would make a 500-byte row per
+    # point, about 1 MB; the copies collide exactly where the line does
+    line = Subspace.span(31, 3, [(1, 0, 5), (0, 1, 7)])
+    one, repeated = QuerySet(31, 3, (line,)), QuerySet(31, 3, (line,) * 4000)
+    want = separating_witness(one)
+    assert want is not None
+    tracemalloc.start()
+    try:
+        assert separating_witness(repeated) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e3
