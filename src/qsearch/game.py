@@ -26,12 +26,13 @@ from .projspace import (
     Subspace,
     WrongDimension,
     ZeroVector,
+    coordinate_hyperplane,
     echelon_insert,
     geometry,
     normalize,
+    ratio_hyperplane,
 )
 from .record import Record, _set
-from .separating import coordinate_hyperplane, ratio_hyperplane
 
 
 class InconsistentOracle(RuntimeError):
@@ -99,7 +100,10 @@ class Transcript(Record):
 
     @staticmethod
     def from_json(text: str) -> "Transcript":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:  # a RuntimeError, which would read as a failed check
+            raise ValueError("transcript JSON is nested too deeply") from None
         if not isinstance(d, dict):
             raise ValueError("transcript must be a JSON object")
         for key, kind in zip(Transcript._fields, Transcript._TYPES):
@@ -225,15 +229,16 @@ def _narrow(geom: Geometry, cand: int, query: Subspace, ans: Answer) -> int:
 
 
 class PlaneSearcher:
-    """Dimension-3 strategy: sweep q of the q+1 lines through a fixed point,
-    then probe the surviving candidates one point at a time.  At most 2q-1
-    queries against any consistent oracle."""
+    """Dimension-3 strategy: sweep v_0 = 0, v_1 = 0 and v_1 = s v_0 for s = 1
+    to q-2, q of the q+1 lines through (0, 0, 1), then probe the survivors
+    one point at a time.  At most 2q-1 queries against any consistent oracle."""
 
     def __init__(self, q: int):
         self.q = q
         self.name = "plane"
-        geom = geometry(3, q)
-        lines = geom.pencil(Subspace(q, 3, (geom.point(0),)))[:q]
+        geom = geometry(3, q)  # the point cap comes before the field
+        lines = [coordinate_hyperplane(q, 3, 0), coordinate_hyperplane(q, 3, 1)]
+        lines += [ratio_hyperplane(q, 3, 0, 1, s) for s in range(1, q - 1)]
         self.lines = tuple((ln, geom.mask(ln)) for ln in lines)
 
     def decide(self, view: GameView):

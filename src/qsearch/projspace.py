@@ -215,7 +215,10 @@ class Subspace(Record):
         if not m:
             raise ValueError(f"malformed subspace literal: {line!r}")
         q, n, k = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        rows = json.loads(m.group(4))
+        try:
+            rows = json.loads(m.group(4))
+        except RecursionError:  # a RuntimeError, which would read as a failed check
+            raise ValueError("subspace literal's basis is nested too deeply") from None
         for r in rows:
             if not isinstance(r, list) or any(type(x) is not int for x in r):
                 raise ValueError(f"basis row {r!r} is not a list of integers")
@@ -260,6 +263,23 @@ def hyperplane(q: int, n: int, a) -> Subspace:
     r = F.neg(F.inv(a[c]))
     ties = tuple(units[i][:c] + (F.mul(r, a[i]),) + units[i][c + 1 :] for i in range(c))
     return Subspace(q, n, ties + units[c + 1 :])
+
+
+@lru_cache(maxsize=None)
+def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
+    """The hyperplane v_i = 0, spanned by the other standard vectors."""
+    return hyperplane(q, n, [int(c == i) for c in range(n)])
+
+
+@lru_cache(maxsize=None)
+def ratio_hyperplane(q: int, n: int, i: int, j: int, lam: int) -> Subspace:
+    """The hyperplane v_j = lam * v_i for coordinates i < j, spanned by the
+    unit vectors e_k for k other than i, j and by e_i + lam * e_j."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"need 0 <= i < j < n, got i={i} j={j} n={n}")
+    if not 1 <= lam < q:
+        raise ValueError(f"ratio must be a nonzero field element, got {lam}")
+    return hyperplane(q, n, [field(q).neg(lam) if c == i else int(c == j) for c in range(n)])
 
 
 def enumerate_subspaces(n: int, q: int, k: int):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 from .gf import field
@@ -29,12 +29,13 @@ from .projspace import (
     Subspace,
     TooLarge,
     WrongDimension,
+    coordinate_hyperplane,
     enumerate_subspaces,
     gaussian_binomial,
     geometry,
-    hyperplane,
     normalize,
     point_count,
+    ratio_hyperplane,
 )
 from .record import Record, _set
 
@@ -99,6 +100,11 @@ class QuerySet(Record):
 # _LANE_BITS[b] maps a mask's '0'/'1' digits to bit b of a lane byte
 _LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
 
+# Largest answer-vector table, in bytes, that `_rows` builds.  It admits
+# every `construct` under the point cap for n >= 3, the largest being the
+# random system of PG(2, 997) at 744 MB; at n = 2 it stops at q = 92,671.
+TABLE_BYTE_CAP = 2**30
+
 
 def _rows(qs: QuerySet) -> tuple[bytes, int, int]:
     """The answer-vector table: one W-byte row per point, in
@@ -106,10 +112,14 @@ def _rows(qs: QuerySet) -> tuple[bytes, int, int]:
     Each mask's digits become bit b of one byte per point, eight masks
     are ORed into a lane, and a strided slice writes the lane to every
     row.  The key is the XOR of the lanes: byte i of
-    key.to_bytes(P, "little") is the XOR of point i's row."""
+    key.to_bytes(P, "little") is the XOR of point i's row.  Raises TooLarge,
+    before any mask is built, when the table exceeds TABLE_BYTE_CAP."""
     geom = geometry(qs.n, qs.q)
     P, queries = geom.full_mask.bit_length(), qs.queries
     W = max(1, -(-len(queries) // 8))  # bytes per row
+    if P * W > TABLE_BYTE_CAP:
+        msg = f"a {P} x {W}-byte separation table exceeds the cap of {TABLE_BYTE_CAP} bytes"
+        raise TooLarge(msg)
     buf = bytearray(P * W)
     key = 0
     for L in range(W):
@@ -162,23 +172,6 @@ def is_separating(qs: QuerySet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def coordinate_hyperplane(q: int, n: int, i: int) -> Subspace:
-    """The hyperplane v_i = 0, spanned by the other standard vectors."""
-    return hyperplane(q, n, [int(c == i) for c in range(n)])
-
-
-@lru_cache(maxsize=None)
-def ratio_hyperplane(q: int, n: int, i: int, j: int, lam: int) -> Subspace:
-    """The hyperplane v_j = lam * v_i for coordinates i < j, spanned by the
-    unit vectors e_k for k other than i, j and by e_i + lam * e_j."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got i={i} j={j} n={n}")
-    if not 1 <= lam < q:
-        raise ValueError(f"ratio must be a nonzero field element, got {lam}")
-    return hyperplane(q, n, [field(q).neg(lam) if c == i else int(c == j) for c in range(n)])
-
-
 def explicit_construction(n: int, q: int) -> QuerySet:
     """Separating system of n + C(n,2)(q-2) hyperplanes.
 
@@ -189,10 +182,8 @@ def explicit_construction(n: int, q: int) -> QuerySet:
     needs ruling out implicitly.
     """
     queries = [coordinate_hyperplane(q, n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for lam in range(1, q - 1):
-                queries.append(ratio_hyperplane(q, n, i, j, lam))
+    pairs = combinations(range(n), 2)
+    queries += [ratio_hyperplane(q, n, i, j, lam) for i, j in pairs for lam in range(1, q - 1)]
     return QuerySet(q, n, tuple(queries))
 
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qsearch
+from qsearch import projspace, separating
 from qsearch.cli import main
 from qsearch.gf import PRIMALITY_BOUND
 from qsearch.projspace import Subspace, geometry
@@ -240,6 +241,51 @@ def test_verify_non_separating(capsys, tmp_path):
     assert rep["witness"] == [[0, 0, 1], [0, 1, 1]]
 
 
+@pytest.mark.parametrize(
+    "cmd,text",
+    [
+        ("verify", "3 3 1\nq=3 n=3 k=2 basis=" + "[" * 100_000 + "]" * 100_000 + "\n"),
+        ("replay", "[" * 100_000 + "]" * 100_000),
+    ],
+    ids=("verify", "replay"),
+)
+def test_deeply_nested_json_is_a_one_line_input_error(capsys, tmp_path, cmd, text):
+    # the decoder's RecursionError is a RuntimeError, which main would read
+    # as a failed check (exit 1), not as bad input
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+def test_verify_over_the_table_cap_exits_before_any_mask(capsys, tmp_path, monkeypatch):
+    # the cap bounds P x ceil(t'/8) bytes, t' the distinct queries, and is
+    # checked after parsing and before any mask is built; patched down here,
+    # as the point-cap test patches DEFAULT_POINT_CAP
+    lines = [f"q=3 n=3 k=2 basis=[[1,0,{a}],[0,1,{b}]]" for a in range(3) for b in range(3)]
+    system, repeated = tmp_path / "system.txt", tmp_path / "repeated.txt"
+    system.write_text("3 3 9\n" + "\n".join(lines) + "\n")
+    repeated.write_text("3 3 100\n" + f"{lines[0]}\n" * 100)
+    masks, mask = [], projspace.Geometry.mask
+    monkeypatch.setattr(projspace.Geometry, "mask", lambda g, s: masks.append(s) or mask(g, s))
+    monkeypatch.setattr(separating, "TABLE_BYTE_CAP", 13 * 2 - 1)
+    code, out, err = run(capsys, "verify", str(system))
+    assert code == 2
+    assert out == ""
+    assert err == "error: a 13 x 2-byte separation table exceeds the cap of 25 bytes\n"
+    assert masks == []
+    # one line listed 100 times is one row byte per point, under the cap
+    code, rep = run_json(capsys, "verify", str(repeated))
+    assert code == 1 and rep["size"] == 100
+    # at the cap the table is built
+    monkeypatch.setattr(separating, "TABLE_BYTE_CAP", 13 * 2)
+    code, rep = run_json(capsys, "verify", str(system))
+    assert rep["size"] == 9 and len(set(masks)) == 9
+
+
 def test_bounds_json(capsys):
     code, rep = run_json(capsys, "bounds", "--n", "3", "--q", "3")
     assert code == 0
@@ -460,6 +506,7 @@ def test_verify_missing_file(capsys):
           "--oracle", "fixed:"), "unknown oracle 'fixed:'"),
         (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
           "--oracle", "fixed:1,,2"), "unknown oracle 'fixed:1,,2'"),
+        (("replay", "plane-q1031.json"), "1063993 points exceeds the cap of 1000000"),
     ],
 )
 def test_oversized_or_out_of_range_input_is_one_line_error(
@@ -471,6 +518,11 @@ def test_oversized_or_out_of_range_input_is_one_line_error(
     (tmp_path / "huge-q.txt").write_text(
         f"{huge} 3 1\nq={huge} n=3 k=2 basis=[[1,0,0],[0,1,0]]\n"
     )
+    # a plane game over GF(1031), whose field is also over its own cap
+    (tmp_path / "plane-q1031.json").write_text(json.dumps({
+        "n": 3, "q": 1031, "searcher": "plane", "oracle": "adversary",
+        "entries": [], "outcome": {}, "count": 0,
+    }))
     monkeypatch.chdir(tmp_path)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)

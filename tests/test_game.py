@@ -175,13 +175,18 @@ def test_sweep_matches_per_point_games(name, n, q):
 # answer) pairs: the test oracles for the searchers that read the mask.
 
 
+def _plane_lines(geom):
+    """The plane searcher's lines as first built: the pencil through the
+    point (0, 0, 1), sorted by basis, less its last member."""
+    return geom.pencil(Subspace.span(geom.q, 3, [geom.points[0]]))[: geom.q]
+
+
 def _plane_by_history(n, q, geom, history, cand):
     if cand.bit_count() == 1:
         return ("announce", geom.lowest_point(cand))
-    pencil = geom.pencil(Subspace.span(q, 3, [geom.points[0]]))
     got_yes = any(a.yes for _, a in history)
     if not got_yes and len(history) < q:
-        return ("ask", pencil[len(history)])
+        return ("ask", _plane_lines(geom)[len(history)])
     return ("ask", Subspace.span(q, 3, [geom.lowest_point(cand)]))
 
 
@@ -368,8 +373,9 @@ def test_a_cold_sweep_makes_no_rref_call(name, n, q, monkeypatch):
 def _adversary_roster_without_rref(n, q, monkeypatch):
     """Play the CLI searchers against the adversary in a fresh geometry and
     return the fewest queries spent, asserting that no game calls rref: the
-    plane searcher's centre and the plans are written down from normals, and
-    the adversary's ranks are echelon inserts."""
+    plane searcher's lines and the plans are coordinate and ratio
+    hyperplanes, written down from their normals, and the adversary's ranks
+    are echelon inserts."""
     geom = Geometry(n, q)
     monkeypatch.setattr(game, "geometry", lambda n, q: geom)
     _round.cache_clear()
@@ -750,6 +756,13 @@ def test_a_plane_sweep_caches_no_point_mask(monkeypatch):
     games = sweep(PlaneSearcher(q), 3, q)
     assert max(count for _, count, _ in games) == 2 * q - 1
     assert [s for s in geom._mask_cache if s.k == 1] == []
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 128))
+def test_plane_lines_are_the_pencil_through_the_first_point(q):
+    # written down as v_0 = 0, v_1 = 0 and v_1 = s v_0, the lines are the
+    # first q members of the pencil through (0, 0, 1), in the same order
+    assert [ln for ln, _ in PlaneSearcher(q).lines] == _plane_lines(geometry(3, q))
 
 
 @pytest.mark.parametrize("n,q", ((3, 9), (4, 4), (5, 3)))
