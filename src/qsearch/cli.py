@@ -33,7 +33,7 @@ from .game import (
     searcher_from_name,
     sweep,
 )
-from .gf import NotAPrimePower, is_prime_power
+from .gf import is_prime_power
 from .projspace import TooLarge, gaussian_binomial, geometry, point_count
 from .separating import (
     BRUTE_SIZE_CAP,
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
         if report is not None:
             print(json.dumps(report, sort_keys=True, indent=2))
         return 0 if ok else 1
-    except (NotAPrimePower, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -149,34 +149,30 @@ def _rule(geom: Geometry, decision, cand: int, asked: int):
 
 
 def run_game(searcher, oracle, n: int, q: int) -> Transcript:
-    """Referee one game by `_rule`.  Announcing costs nothing.  The history
-    of (query, answer) pairs is kept for the oracle only."""
+    """Referee one game by `_rule`.  Announcing costs nothing.  The game is
+    one list of (query, answer) pairs: the oracle reads it, and so does the
+    transcript."""
     geom = geometry(n, q)
     cand = geom.full_mask
-    history: tuple[tuple[Subspace, Answer], ...] = ()
-    entries: list[dict] = []
+    history: list[tuple[Subspace, Answer]] = []
     while True:
         view = GameView(geom, len(history), cand)
         kind, got = _rule(geom, searcher.decide(view), cand, len(history))
-        if kind == "identified":
-            outcome = {"identified": list(got)}
-            break
-        if kind == "aborted":
-            outcome = {"aborted": "query-limit"}
+        if kind != "ask":
             break
         ans = oracle.answer(got, history)
         cand = _narrow(geom, cand, got, ans)
         if cand == 0:
             raise InconsistentOracle(f"no point is consistent after {got.literal()}")
-        history += ((got, ans),)
-        entries.append({"query": got.literal(), "verdict": "YES" if ans.yes else "NO"})
+        history.append((got, ans))
     return Transcript(
         n=n,
         q=q,
         searcher=getattr(searcher, "name", searcher.__class__.__name__),
         oracle=getattr(oracle, "name", oracle.__class__.__name__),
-        entries=tuple(entries),
-        outcome=outcome,
+        entries=tuple({"query": qry.literal(), "verdict": "YES" if ans.yes else "NO"}
+                      for qry, ans in history),
+        outcome={"aborted": "query-limit"} if got is None else {"identified": list(got)},
         count=len(history),
     )
 
@@ -393,7 +389,8 @@ class RandomLineSearcher:
         self.order = order
 
     def decide(self, view: GameView):
-        if view.candidates.bit_count() == 1 or view.asked >= len(self.order):
+        # the hyperplanes separate the points, so the order never runs out
+        if view.candidates.bit_count() == 1:
             return ("announce", view.geom.lowest_point(view.candidates))
         return ("ask", self.order[view.asked])
 
@@ -531,6 +528,7 @@ def oracle_from_name(name: str, n: int, q: int):
 
 def replay(transcript: Transcript) -> tuple[bool, Transcript]:
     """Re-run a finished game from its recorded strategy names and compare."""
+    geometry(transcript.n, transcript.q)  # the point cap comes before any field
     s = searcher_from_name(transcript.searcher, transcript.n, transcript.q)
     o = oracle_from_name(transcript.oracle, transcript.n, transcript.q)
     fresh = run_game(s, o, transcript.n, transcript.q)

@@ -6,10 +6,10 @@ coordinate is 1.  A k-dimensional linear subspace is stored as the tuple of
 rows of its reduced row echelon basis, which makes equal subspaces compare
 equal as values.
 
-`Geometry` lists all points of a fixed (n, q) and represents point sets
-as int bitmasks, bit i standing for the i-th point in global lexicographic
-order; a point's index is computed in closed form (`Geometry.rank`), and
-so is the point of an index (`Geometry.point`).
+`Geometry` represents the point sets of a fixed (n, q) as int bitmasks,
+bit i standing for the i-th point in global lexicographic order.  A point's
+index and the point of an index are closed forms (`Geometry.rank`,
+`Geometry.point`), so the list of all points is built only on first read.
 Everything downstream that filters candidate lines works on these masks.
 A subspace's mask is the AND of the masks of the hyperplanes that cut it
 out, and a hyperplane's mask is built per lead block of points by a base-q

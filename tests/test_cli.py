@@ -507,6 +507,8 @@ def test_verify_missing_file(capsys):
         (("adaptive", "--n", "3", "--q", "3", "--strategy", "plane",
           "--oracle", "fixed:1,,2"), "unknown oracle 'fixed:1,,2'"),
         (("replay", "plane-q1031.json"), "1063993 points exceeds the cap of 1000000"),
+        (("replay", "two-round-q1031.json"), "1063993 points exceeds the cap of 1000000"),
+        (("replay", "inductive-q1031.json"), "1063993 points exceeds the cap of 1000000"),
     ],
 )
 def test_oversized_or_out_of_range_input_is_one_line_error(
@@ -518,11 +520,14 @@ def test_oversized_or_out_of_range_input_is_one_line_error(
     (tmp_path / "huge-q.txt").write_text(
         f"{huge} 3 1\nq={huge} n=3 k=2 basis=[[1,0,0],[0,1,0]]\n"
     )
-    # a plane game over GF(1031), whose field is also over its own cap
-    (tmp_path / "plane-q1031.json").write_text(json.dumps({
-        "n": 3, "q": 1031, "searcher": "plane", "oracle": "adversary",
-        "entries": [], "outcome": {}, "count": 0,
-    }))
+    # games over GF(1031), whose field is also over its own cap: the point
+    # cap is named whichever searcher and oracle would build the field first
+    for searcher, oracle in (("plane", "adversary"), ("two-round", "adversary"),
+                             ("inductive", "fixed:1,0,0")):
+        (tmp_path / f"{searcher}-q1031.json").write_text(json.dumps({
+            "n": 3, "q": 1031, "searcher": searcher, "oracle": oracle,
+            "entries": [], "outcome": {}, "count": 0,
+        }))
     monkeypatch.chdir(tmp_path)
     start = time.monotonic()
     code, out, err = run(capsys, *argv)
@@ -657,5 +662,7 @@ def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(
     code, out, err = run(capsys, *argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if code == 1:  # a failed check reports on stdout; a RuntimeError is a bug
+        assert out and err == "", err
     if code == 2:
         assert err.count("\n") == 1, err

@@ -1,6 +1,7 @@
 """Every top-level function and method of the package is reached from
 somewhere: the package itself, the experiment scripts or the acceptance
-criteria.  Unit tests alone do not count as a use."""
+criteria.  Unit tests alone do not count as a use, and a method is reached
+only through an attribute (`x.sub`), never by a bare name (`sub`)."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ PACKAGE = ROOT / "src" / "qsearch"
 USERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 USERS.append(ROOT / "tests" / "test_acceptance.py")
 EXEMPT = set(qsearch.__all__) | {"main"}
+# kept for the benchmark's gf.sub_ns.q7 row until it changes (ROADMAP item 7)
+EXEMPT_METHODS = {"GF.sub"}
 
 
 def _definitions():
@@ -28,24 +31,25 @@ def _definitions():
                         yield path.stem, f"{node.name}.{item.name}"
 
 
-def _references() -> set[str]:
-    """Every name read or attribute taken anywhere in the user files; a def
-    statement is not a reference to the name it defines."""
-    seen = set()
+def _references() -> tuple[set[str], set[str]]:
+    """Every name read and every attribute taken anywhere in the user files;
+    a def statement is not a reference to the name it defines."""
+    names, attrs = set(), set()
     for path in USERS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                seen.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                seen.add(node.attr)
-    return seen
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def test_every_definition_is_reached():
-    used = _references()
+    names, attrs = _references()
     unreached = [
         f"{module}.{qual}"
         for module, qual in _definitions()
-        if qual.split(".")[-1] not in used | EXEMPT
+        if qual not in EXEMPT_METHODS
+        and qual.split(".")[-1] not in (attrs if "." in qual else names | attrs) | EXEMPT
     ]
     assert unreached == []
