@@ -7,37 +7,28 @@ with searcher and oracle strategies plus bound computations (`game`,
 `bounds`).  The `qsearch` console script exposes the lot.
 """
 
-from .gf import GF, NotAPrimePower, field
-from .projspace import (
-    Subspace,
-    gaussian_binomial,
-    geometry,
-    enumerate_points,
-    enumerate_subspaces,
-)
-from .separating import QuerySet, is_separating, explicit_construction
-from .game import Transcript, run_game, searcher_from_name, oracle_from_name
-from .bounds import adaptive_bounds, katona_lower, n3_specials
+# the public names of each module, imported on first use, so that
+# `import qsearch.cli` loads only the modules its command runs
+_PUBLIC = {
+    "gf": ("GF", "NotAPrimePower", "field"),
+    "projspace": (
+        "Subspace", "gaussian_binomial", "geometry", "enumerate_points", "enumerate_subspaces"
+    ),
+    "separating": ("QuerySet", "is_separating", "explicit_construction"),
+    "game": ("Transcript", "run_game", "searcher_from_name", "oracle_from_name"),
+    "bounds": ("adaptive_bounds", "katona_lower", "n3_specials"),
+}
+_HOMES = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = list(_HOMES)
 
-__all__ = [
-    "GF",
-    "NotAPrimePower",
-    "field",
-    "Subspace",
-    "gaussian_binomial",
-    "geometry",
-    "enumerate_points",
-    "enumerate_subspaces",
-    "QuerySet",
-    "is_separating",
-    "explicit_construction",
-    "Transcript",
-    "run_game",
-    "searcher_from_name",
-    "oracle_from_name",
-    "adaptive_bounds",
-    "katona_lower",
-    "n3_specials",
-]
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    globals()[name] = value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -391,27 +391,43 @@ class Geometry:
 
         It is the AND of the masks of the hyperplanes a.x = 0 that cut it
         out, one for each of its `normals`.  Neither step loops over points
-        (see `_hyperplane_mask`).
+        (see `_hyperplane_digits`).
         """
         got = self._mask_cache.get(s)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._build_mask(s)
+            if s.k > 1:  # a point is its bit; cached, P point masks hold P^2 bits
+                self._mask_cache[s] = got
+        return got
+
+    def digits(self, s: Subspace) -> str:
+        """`mask(s)` as a '0'/'1' string in point order: character i is '1'
+        when point i lies in s.  A cached mask is read, but nothing is
+        cached: a hyperplane's string comes straight from
+        `_hyperplane_digits`, so a one-shot table keeps no mask."""
+        m = self._mask_cache.get(s)
+        if m is None:
+            if s.k == self.n - 1 and (s.q, s.n) == (self.q, self.n):
+                return self._hyperplane_digits(normals(s)[0])
+            m = self._build_mask(s)
+        return format(m, f"0{self.full_mask.bit_length()}b")[::-1]
+
+    def _build_mask(self, s: Subspace) -> int:
         if (s.q, s.n) != (self.q, self.n):
             raise DimensionMismatch(
                 f"GF({s.q})^{s.n} subspace in PG({self.n - 1}, {self.q})"
             )
-        if s.k == 1:  # a point is its bit; cached, P point masks hold P^2 bits
+        if s.k == 1:
             return 1 << self.rank(s.basis[0])
         m = self.full_mask
         for a in normals(s):
-            m &= self._hyperplane_mask(a)
-        self._mask_cache[s] = m
+            m &= int(self._hyperplane_digits(a)[::-1], 2)
         return m
 
-    def _hyperplane_mask(self, a: list[int]) -> int:
-        """Bitmask of the hyperplane a.x = 0, with no loop over points.  The
-        last nonzero coefficient of a must be 1, as in the `normals` of an
-        echelon basis.
+    def _hyperplane_digits(self, a: list[int]) -> str:
+        """The hyperplane a.x = 0 as a '0'/'1' string in point order, with
+        no loop over points.  The last nonzero coefficient of a must be 1,
+        as in the `normals` of an echelon basis.
 
         Lead block l of `points` holds the points (0^l, 1, y), y in base-q
         order with y_0 the slowest digit; such a point lies on the hyperplane
@@ -440,7 +456,7 @@ class Geometry:
                 base, reps = _one_slice(q, reps), 1
             elif lead:  # lead block 0 is the last, and needs no tail
                 base, reps = _join(F, [base(t) * reps for t in ys], F.neg(c)), 1
-        return int("".join(blocks)[::-1], 2)
+        return "".join(blocks)
 
     def pencil(self, u: Subspace) -> list[Subspace]:
         """The q+1 hyperplanes containing a subspace u of dimension n-2,

@@ -11,12 +11,13 @@ Every separation question reads one table, `_rows`: each point's answer
 vector as a row of bytes whose bit j answers query j, with a one-byte key
 per row.  The verdict holds one key's rows at a time; `signatures` reads
 the rows as ints.  The pencil count behind `oracle claim-count` reads one
-such table per pencil, transposed so each point's pencil signatures sit
+such table over every hyperplane, and each point's pencil signatures sit
 in one tuple.
 """
 
 from __future__ import annotations
 
+import mmap
 import operator
 import random
 from functools import lru_cache
@@ -106,30 +107,32 @@ _LANE_BITS = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
 TABLE_BYTE_CAP = 2**30
 
 
-def _rows(qs: QuerySet) -> tuple[bytes, int, int]:
+def _rows(qs: QuerySet) -> tuple[mmap.mmap, int, int]:
     """The answer-vector table: one W-byte row per point, in
     geometry(n, q).points order, whose byte L holds queries 8L to 8L + 7.
-    Each mask's digits become bit b of one byte per point, eight masks
-    are ORed into a lane, and a strided slice writes the lane to every
-    row.  The key is the XOR of the lanes: byte i of
-    key.to_bytes(P, "little") is the XOR of point i's row.  Raises TooLarge,
-    before any mask is built, when the table exceeds TABLE_BYTE_CAP."""
+    Each query's point-order digit string (`Geometry.digits`, which caches
+    no mask) becomes bit b of one byte per point, eight are ORed into a
+    lane, and a strided slice writes the lane to every row.  The table is
+    one anonymous mmap, held once, whose slices are bytes.  The key is the
+    XOR of the lanes: byte i of key.to_bytes(P, "little") is the XOR of
+    point i's row.  Raises TooLarge, before any digit string is built, when
+    the table exceeds TABLE_BYTE_CAP."""
     geom = geometry(qs.n, qs.q)
     P, queries = geom.full_mask.bit_length(), qs.queries
     W = max(1, -(-len(queries) // 8))  # bytes per row
     if P * W > TABLE_BYTE_CAP:
         msg = f"a {P} x {W}-byte separation table exceeds the cap of {TABLE_BYTE_CAP} bytes"
         raise TooLarge(msg)
-    buf = bytearray(P * W)
+    buf = mmap.mmap(-1, P * W)
     key = 0
     for L in range(W):
         lane = 0
         for b, s in enumerate(queries[8 * L : 8 * L + 8]):
-            bits = format(geom.mask(s), f"0{P}b").encode().translate(_LANE_BITS[b])
-            lane |= int.from_bytes(bits, "big")  # byte i holds point i's bit b
+            bits = geom.digits(s).encode().translate(_LANE_BITS[b])
+            lane |= int.from_bytes(bits, "little")  # byte i holds point i's bit b
         key ^= lane
         buf[L::W] = lane.to_bytes(P, "little")
-    return bytes(buf), W, key  # slices of bytes are cheaper rows
+    return buf, W, key
 
 
 def signatures(qs: QuerySet) -> list[int]:
@@ -240,10 +243,14 @@ def unseparated_pencil_count(n: int, q: int) -> int:
 @lru_cache(maxsize=None)
 def _pencil_signatures(n: int, q: int) -> list[tuple[int, ...]]:
     """Per point, its signature under the pencil through each
-    (n-2)-subspace: the pencils' signature tables, transposed."""
+    (n-2)-subspace.  One table over every hyperplane serves all pencils: a
+    point's answer vector ANDed with a pencil's bits is equal for two
+    points exactly when the pencil's hyperplanes answer them alike."""
     geom = geometry(n, q)
-    pencils = (QuerySet(q, n, tuple(geom.pencil(s))) for s in geom.subspaces(n - 2))
-    return list(zip(*(signatures(qs) for qs in pencils)))
+    hyper = geom.subspaces(n - 1)
+    bit = {h: 1 << i for i, h in enumerate(hyper)}
+    pencils = [sum(bit[h] for h in geom.pencil(u)) for u in geom.subspaces(n - 2)]
+    return [tuple([s & m for m in pencils]) for s in signatures(QuerySet(q, n, tuple(hyper)))]
 
 
 def count_unseparated_bruteforce(
@@ -256,6 +263,19 @@ def count_unseparated_bruteforce(
         raise ValueError("points must be distinct")
     cols = _pencil_signatures(n, q)
     return sum(map(operator.eq, cols[i], cols[j]))
+
+
+def first_count_mismatch(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """The first pair of distinct points, in index order, whose brute-force
+    unseparated count differs from unseparated_pencil_count, with that
+    count; None when every pair matches.  Walks index pairs over the
+    pencil signatures and names only a mismatch, by `Geometry.point`."""
+    cols, formula = _pencil_signatures(n, q), unseparated_pencil_count(n, q)
+    for i, j in combinations(range(len(cols)), 2):
+        got = sum(map(operator.eq, cols[i], cols[j]))
+        if got != formula:
+            return geometry(n, q).point(i), geometry(n, q).point(j), got
+    return None
 
 
 # ---------------------------------------------------------------------------

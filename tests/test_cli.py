@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -263,14 +264,15 @@ def test_deeply_nested_json_is_a_one_line_input_error(capsys, tmp_path, cmd, tex
 
 def test_verify_over_the_table_cap_exits_before_any_mask(capsys, tmp_path, monkeypatch):
     # the cap bounds P x ceil(t'/8) bytes, t' the distinct queries, and is
-    # checked after parsing and before any mask is built; patched down here,
-    # as the point-cap test patches DEFAULT_POINT_CAP
+    # checked after parsing and before any query's digit string (the table's
+    # form of a mask) is built; patched down here, as the point-cap test
+    # patches DEFAULT_POINT_CAP
     lines = [f"q=3 n=3 k=2 basis=[[1,0,{a}],[0,1,{b}]]" for a in range(3) for b in range(3)]
     system, repeated = tmp_path / "system.txt", tmp_path / "repeated.txt"
     system.write_text("3 3 9\n" + "\n".join(lines) + "\n")
     repeated.write_text("3 3 100\n" + f"{lines[0]}\n" * 100)
-    masks, mask = [], projspace.Geometry.mask
-    monkeypatch.setattr(projspace.Geometry, "mask", lambda g, s: masks.append(s) or mask(g, s))
+    masks, digits = [], projspace.Geometry.digits
+    monkeypatch.setattr(projspace.Geometry, "digits", lambda g, s: masks.append(s) or digits(g, s))
     monkeypatch.setattr(separating, "TABLE_BYTE_CAP", 13 * 2 - 1)
     code, out, err = run(capsys, "verify", str(system))
     assert code == 2
@@ -402,6 +404,42 @@ def test_oracle_claim_count(capsys):
     assert rep["formula"] == 1
     assert rep["pairs"] == 21
     assert rep["first_mismatch"] is None
+
+
+def test_oracle_claim_count_names_the_first_mismatching_pair(capsys, monkeypatch):
+    # a formula one too high fails every pair; the first, points 0 and 1,
+    # is named through Geometry.point with its brute-force count
+    count = separating.unseparated_pencil_count(3, 4)
+    monkeypatch.setattr(separating, "unseparated_pencil_count", lambda n, q: count + 1)
+    code, rep = run_json(capsys, "oracle", "claim-count", "--n", "3", "--q", "4")
+    assert code == 1 and rep["formula"] == count + 1
+    assert rep["first_mismatch"] == {"u": [0, 0, 1], "v": [0, 1, 0], "count": count}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--n", "4", "--q", "5", "--method", "explicit"),
+        ("construct", "--n", "4", "--q", "5", "--method", "random", "--seed", "3"),
+    ],
+)
+def test_construct_and_verify_leave_the_mask_cache_as_they_found_it(capsys, tmp_path, argv):
+    # a one-shot table reads each query's digit string and keeps no mask
+    geom = geometry(4, 5)
+    before = dict(geom._mask_cache)
+    path = tmp_path / "system.txt"
+    assert run_json(capsys, *argv, "--out", str(path))[0] == 0
+    assert run_json(capsys, "verify", str(path))[0] == 0
+    # points, lines and planes together, one of them asked twice
+    head, *lines = path.read_text().splitlines()
+    mixed = lines[:3] + [
+        "q=5 n=4 k=1 basis=[[1,2,3,4]]",
+        "q=5 n=4 k=2 basis=[[1,0,2,3],[0,1,4,0]]",
+        "q=5 n=4 k=2 basis=[[1,0,2,3],[0,1,4,0]]",
+    ]
+    path.write_text(f"5 4 {len(mixed)}\n" + "\n".join(mixed) + "\n")
+    assert run_json(capsys, "verify", str(path))[0] == 1
+    assert geom._mask_cache == before
 
 
 def test_oracle_claim_count_at_q11_is_quick(capsys):
@@ -567,13 +605,12 @@ def test_bounds_near_the_primality_bound(capsys, q, code, message):
     assert (got, err) == (code, message)
 
 
-def test_importing_the_cli_loads_no_module_a_command_may_not_need():
-    # every qsearch process imports the CLI first, so what it loads is
-    # paid at each start; dataclasses pulls in inspect, fractions decimal
-    unwanted = ("dataclasses", "inspect", "fractions", "decimal", "csv")
+def _loaded_after(code: str, modules: tuple) -> str:
+    """Which of the modules a fresh interpreter holds after running code,
+    printed last on its stdout."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = f"import qsearch.cli, sys; print(sorted(set({unwanted!r}) & set(sys.modules)))"
+    code += f"\nimport sys; print(sorted(set({modules!r}) & set(sys.modules)))"
     got = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -582,7 +619,63 @@ def test_importing_the_cli_loads_no_module_a_command_may_not_need():
         timeout=60,
     )
     assert got.returncode == 0, got.stderr
-    assert got.stdout == "[]\n", f"importing qsearch.cli loaded {got.stdout.strip()}"
+    return got.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_module_a_command_may_not_need():
+    # every qsearch process imports the CLI first, so what it loads is
+    # paid at each start; dataclasses pulls in inspect, fractions decimal;
+    # each handler imports the package modules its command runs
+    unwanted = ("dataclasses", "inspect", "fractions", "decimal", "csv", "heapq")
+    unwanted += ("qsearch.game", "qsearch.separating", "qsearch.bounds")
+    got = _loaded_after("import qsearch.cli", unwanted)
+    assert got == "[]", f"importing qsearch.cli loaded {got}"
+
+
+def test_the_first_cli_import_of_a_checkout_compiles_what_the_handlers_import(tmp_path):
+    # a child that compiles a module peaks above one that reads its
+    # bytecode, so the CLI's first import writes the bytecode of the modules
+    # its handlers import, and later imports load none of them
+    package = tmp_path / "qsearch"
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(Path(qsearch.__file__).parent, package, ignore=ignore)
+    unset = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = str(tmp_path)
+    code = "import qsearch.cli, sys; print('qsearch.game' in sys.modules)"
+    loaded = []
+    for _ in range(2):
+        got = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert got.returncode == 0, got.stderr
+        loaded.append(got.stdout)
+    assert loaded == ["True\n", "False\n"]
+    compiled = {p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc")}
+    assert {"bounds", "game", "separating"} <= compiled
+
+
+@pytest.mark.parametrize(
+    "argv,unwanted",
+    [
+        (["bounds", "--n", "3", "--q", "3", "--csv"], ("qsearch.game", "qsearch.separating", "heapq")),
+        (["construct", "--n", "3", "--q", "3", "--method", "explicit"], ("qsearch.game", "heapq")),
+        (["verify", os.devnull], ("qsearch.game", "qsearch.bounds", "heapq")),
+    ],
+)
+def test_a_command_loads_only_its_own_modules(argv, unwanted):
+    got = _loaded_after(f"import qsearch.cli\nqsearch.cli.main({argv!r})", unwanted)
+    assert got == "[]", f"{argv[0]} loaded {got}"
+
+
+def test_every_public_name_imports_from_the_package():
+    names = ", ".join(qsearch.__all__)
+    got = _loaded_after(f"from qsearch import {names}", ("qsearch.game",))
+    assert got == "['qsearch.game']"
+    for name in qsearch.__all__:
+        assert getattr(qsearch, name).__name__ == name
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        qsearch.missing
 
 
 # argv pieces for the fuzz test: every (n, q) in range is small enough to

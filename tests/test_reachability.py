@@ -17,17 +17,21 @@ EXEMPT = set(qsearch.__all__) | {"main"}
 EXEMPT_METHODS = {"GF.sub"}
 
 
+def _dunder(name: str) -> bool:
+    """The interpreter calls these by protocol (a module's `__getattr__`, a
+    class's `__len__`), never by a name the user files read."""
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
-    """(module, name) of each top-level function and non-dunder method."""
+    """(module, name) of each non-dunder top-level function and method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.FunctionDef) and not _dunder(node.name):
                 yield path.stem, node.name
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
+                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                         yield path.stem, f"{node.name}.{item.name}"
 
 
