@@ -23,22 +23,6 @@ from .gf import is_prime_power
 from .projspace import TooLarge, gaussian_binomial, geometry, point_count
 
 
-def _compile_deferred() -> None:
-    """Write the missing bytecode of the modules the handlers import: a
-    child that compiles one peaks about 1.3 MB higher, so a checkout's first
-    CLI import compiles them, as installing the package would."""
-    if not sys.dont_write_bytecode:
-        from importlib import import_module
-        from importlib.util import cache_from_source
-
-        for name in ("bounds", "game", "separating"):
-            if not Path(cache_from_source(str(Path(__file__).with_name(f"{name}.py")))).exists():
-                import_module(f".{name}", __package__)
-
-
-_compile_deferred()
-
-
 # Largest number of pencil checks (point pairs times (n-2)-subspaces) that
 # oracle claim-count takes on; its runtime grows with that count.
 CLAIM_CHECK_CAP = 2 * 10**6

@@ -253,6 +253,12 @@ def _pencil_signatures(n: int, q: int) -> list[tuple[int, ...]]:
     return [tuple([s & m for m in pencils]) for s in signatures(QuerySet(q, n, tuple(hyper)))]
 
 
+def _unseparated_at(n: int, q: int, i: int, j: int) -> int:
+    """Pencils giving the points of indices i and j equal signatures."""
+    cols = _pencil_signatures(n, q)
+    return sum(map(operator.eq, cols[i], cols[j]))
+
+
 def count_unseparated_bruteforce(
     n: int, q: int, u: tuple[int, ...], v: tuple[int, ...]
 ) -> int:
@@ -261,18 +267,17 @@ def count_unseparated_bruteforce(
     i, j = (geom.rank(normalize(q, p)) for p in (u, v))
     if i == j:
         raise ValueError("points must be distinct")
-    cols = _pencil_signatures(n, q)
-    return sum(map(operator.eq, cols[i], cols[j]))
+    return _unseparated_at(n, q, i, j)
 
 
 def first_count_mismatch(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """The first pair of distinct points, in index order, whose brute-force
     unseparated count differs from unseparated_pencil_count, with that
-    count; None when every pair matches.  Walks index pairs over the
-    pencil signatures and names only a mismatch, by `Geometry.point`."""
-    cols, formula = _pencil_signatures(n, q), unseparated_pencil_count(n, q)
-    for i, j in combinations(range(len(cols)), 2):
-        got = sum(map(operator.eq, cols[i], cols[j]))
+    count; None when every pair matches.  Walks index pairs and names only
+    a mismatch, by `Geometry.point`."""
+    formula = unseparated_pencil_count(n, q)
+    for i, j in combinations(range(len(_pencil_signatures(n, q))), 2):
+        got = _unseparated_at(n, q, i, j)
         if got != formula:
             return geometry(n, q).point(i), geometry(n, q).point(j), got
     return None

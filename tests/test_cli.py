@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -271,21 +270,33 @@ def test_verify_over_the_table_cap_exits_before_any_mask(capsys, tmp_path, monke
     system, repeated = tmp_path / "system.txt", tmp_path / "repeated.txt"
     system.write_text("3 3 9\n" + "\n".join(lines) + "\n")
     repeated.write_text("3 3 100\n" + f"{lines[0]}\n" * 100)
-    masks, digits = [], projspace.Geometry.digits
-    monkeypatch.setattr(projspace.Geometry, "digits", lambda g, s: masks.append(s) or digits(g, s))
+    # spy on both builders, a subspace's mask and a hyperplane's digit string,
+    # over an empty mask cache so that every query's form is built here
+    built, geom = [], projspace.geometry(3, 3)
+    build_mask = projspace.Geometry._build_mask
+    hyperplane_digits = projspace.Geometry._hyperplane_digits
+    monkeypatch.setattr(
+        projspace.Geometry, "_build_mask", lambda g, s: built.append(s) or build_mask(g, s)
+    )
+    monkeypatch.setattr(
+        projspace.Geometry,
+        "_hyperplane_digits",
+        lambda g, a: built.append(tuple(a)) or hyperplane_digits(g, a),
+    )
+    monkeypatch.setattr(geom, "_mask_cache", {})
     monkeypatch.setattr(separating, "TABLE_BYTE_CAP", 13 * 2 - 1)
     code, out, err = run(capsys, "verify", str(system))
     assert code == 2
     assert out == ""
     assert err == "error: a 13 x 2-byte separation table exceeds the cap of 25 bytes\n"
-    assert masks == []
+    assert built == []
     # one line listed 100 times is one row byte per point, under the cap
     code, rep = run_json(capsys, "verify", str(repeated))
     assert code == 1 and rep["size"] == 100
     # at the cap the table is built
     monkeypatch.setattr(separating, "TABLE_BYTE_CAP", 13 * 2)
     code, rep = run_json(capsys, "verify", str(system))
-    assert rep["size"] == 9 and len(set(masks)) == 9
+    assert rep["size"] == 9 and len(set(built)) == 9
 
 
 def test_bounds_json(capsys):
@@ -630,29 +641,6 @@ def test_importing_the_cli_loads_no_module_a_command_may_not_need():
     unwanted += ("qsearch.game", "qsearch.separating", "qsearch.bounds")
     got = _loaded_after("import qsearch.cli", unwanted)
     assert got == "[]", f"importing qsearch.cli loaded {got}"
-
-
-def test_the_first_cli_import_of_a_checkout_compiles_what_the_handlers_import(tmp_path):
-    # a child that compiles a module peaks above one that reads its
-    # bytecode, so the CLI's first import writes the bytecode of the modules
-    # its handlers import, and later imports load none of them
-    package = tmp_path / "qsearch"
-    ignore = shutil.ignore_patterns("__pycache__")
-    shutil.copytree(Path(qsearch.__file__).parent, package, ignore=ignore)
-    unset = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
-    env = {k: v for k, v in os.environ.items() if k not in unset}
-    env["PYTHONPATH"] = str(tmp_path)
-    code = "import qsearch.cli, sys; print('qsearch.game' in sys.modules)"
-    loaded = []
-    for _ in range(2):
-        got = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert got.returncode == 0, got.stderr
-        loaded.append(got.stdout)
-    assert loaded == ["True\n", "False\n"]
-    compiled = {p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc")}
-    assert {"bounds", "game", "separating"} <= compiled
 
 
 @pytest.mark.parametrize(
